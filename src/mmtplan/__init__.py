@@ -18,7 +18,6 @@ from .sharing import ArchSpec, SharingPattern, build_module_sequence, enumerate_
 from .allocator import (
     Assignment,
     CommCost,
-    HAVE_COMPILED_KERNEL,
     comm_cost,
     initial_assignment,
     local_search,
@@ -34,7 +33,6 @@ __all__ = [
     "CommCost",
     "DeviceId",
     "FullConfig",
-    "HAVE_COMPILED_KERNEL",
     "MetaConfig",
     "ModuleKey",
     "SharingPattern",

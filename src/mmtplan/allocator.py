@@ -7,9 +7,12 @@ idles early in training.
 
 The cost of a placement is, per module, its parameter count times a
 weighted span: w_intra per extra device plus (w_inter - w_intra) per
-extra node.  The kernel evaluating this is the hot path of the search;
-a compiled extension is used when available, with a pure-Python fallback
-selected at import time.
+extra node.  Local search never recomputes that sum: it keeps, per
+module, how many of the module's tasks sit on each device and on each
+node, and scores a move by the change in span of the moving task's
+modules only (the incremental gain update of Kernighan-Lin and
+Fiduccia-Mattheyses).  `CostContext.cost` is the full recomputation,
+used by `comm_cost` and as the oracle for the incremental scores.
 """
 from __future__ import annotations
 
@@ -18,18 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .core import ClusterTopology, DeviceId, ModuleKey, TaskSpec
-
-try:
-    from ._speedups import comm_cost_kernel
-
-    HAVE_COMPILED_KERNEL = True
-except ImportError:
-    from ._cost_py import comm_cost_kernel
-
-    HAVE_COMPILED_KERNEL = False
 
 DEFAULT_W_INTRA = 1.0
 DEFAULT_W_INTER = 4.0
@@ -56,8 +48,9 @@ def _param_count(value) -> float:
 
 
 class CostContext:
-    """Precomputed index arrays for repeated cost evaluations over one
-    task/module structure with varying placements."""
+    """One task/module structure over integer ids: tasks sorted by id,
+    modules sorted by key, devices in `topo.devices()` order.  Placements
+    are lists of device indices, one per task."""
 
     def __init__(
         self,
@@ -71,49 +64,97 @@ class CostContext:
         self.w_intra = w_intra
         self.w_inter = w_inter
         self.tasks = sorted(tasks, key=lambda t: t.id)
-        self.task_index = {t.id: i for i, t in enumerate(self.tasks)}
         self.module_keys = sorted(modules)
-        self.params = np.array(
-            [_param_count(modules[k]) for k in self.module_keys], dtype=np.float64
-        )
-        by_module: dict[ModuleKey, list[int]] = {k: [] for k in self.module_keys}
-        for i, task in enumerate(self.tasks):
-            for key in task.modules():
-                by_module[key].append(i)
-        offsets = [0]
-        indices: list[int] = []
-        for key in self.module_keys:
-            indices.extend(by_module[key])
-            offsets.append(len(indices))
-        self.mod_task_off = np.array(offsets, dtype=np.int64)
-        self.mod_task_idx = np.array(indices, dtype=np.int64)
-        self.dev_node = np.array(
-            [d.node for d in topo.devices()], dtype=np.int64
-        )
-        self._per_module = np.zeros(len(self.module_keys), dtype=np.float64)
+        self.params = [_param_count(modules[k]) for k in self.module_keys]
+        module_id = {k: m for m, k in enumerate(self.module_keys)}
+        self.task_modules = [
+            [module_id[k] for k in task.modules()] for task in self.tasks
+        ]
+        self.dev_node = [d.node for d in topo.devices()]
 
-    def placement_array(self, placement: Mapping[str, DeviceId]) -> np.ndarray:
-        arr = np.zeros(len(self.tasks), dtype=np.int64)
+    def placement_list(self, placement: Mapping[str, DeviceId]) -> list[int]:
+        out = []
         for task in self.tasks:
-            arr[self.task_index[task.id]] = self.topo.flat(placement[task.id])
-        return arr
+            dev = placement.get(task.id)
+            if dev is None:
+                raise AllocationError(f"task {task.id} is not placed")
+            if not self.topo.contains(dev):
+                raise AllocationError(
+                    f"task {task.id} is placed on device {dev}, outside the topology"
+                )
+            out.append(self.topo.flat(dev))
+        return out
 
-    def cost(self, task_dev: np.ndarray) -> float:
-        return comm_cost_kernel(
-            self.params,
-            self.mod_task_off,
-            self.mod_task_idx,
-            task_dev,
-            self.dev_node,
-            self.w_intra,
-            self.w_inter,
-            self._per_module,
-        )
+    def module_costs(self, task_dev: Sequence[int]) -> list[float]:
+        """Full recomputation: per module, params * (w_intra*(|devices|-1)
+        + (w_inter-w_intra)*(|nodes|-1)) over the devices of its tasks."""
+        devs: list[set[int]] = [set() for _ in self.module_keys]
+        for t, mods in enumerate(self.task_modules):
+            for m in mods:
+                devs[m].add(task_dev[t])
+        out = []
+        for p, ds in zip(self.params, devs):
+            if not ds:
+                out.append(0.0)
+                continue
+            n_node = len({self.dev_node[d] for d in ds})
+            out.append(
+                p * (self.w_intra * (len(ds) - 1) + (self.w_inter - self.w_intra) * (n_node - 1))
+            )
+        return out
 
-    def cost_breakdown(self, task_dev: np.ndarray) -> CommCost:
-        total = self.cost(task_dev)
-        per_module = dict(zip(self.module_keys, self._per_module.tolist()))
-        return CommCost(total, per_module)
+    def cost(self, task_dev: Sequence[int]) -> float:
+        return sum(self.module_costs(task_dev))
+
+
+class SpanCounts:
+    """Occupancy of one placement: per module, how many of its tasks sit
+    on each device and on each node.  Moving a task changes a module's
+    cost only where the move empties a device or node of that module or
+    occupies a new one, so a relocation is scored in O(|modules(task)|).
+    `task_dev` is shared with the caller and updated by `move`."""
+
+    def __init__(self, ctx: CostContext, task_dev: list[int]):
+        self.ctx = ctx
+        self.task_dev = task_dev
+        self.on_dev = [[0] * ctx.topo.n_devices for _ in ctx.module_keys]
+        self.on_node = [[0] * ctx.topo.n_nodes for _ in ctx.module_keys]
+        for t, mods in enumerate(ctx.task_modules):
+            d = task_dev[t]
+            node = ctx.dev_node[d]
+            for m in mods:
+                self.on_dev[m][d] += 1
+                self.on_node[m][node] += 1
+
+    def delta(self, t: int, dst: int) -> float:
+        """Change in cost if task t moved to device dst."""
+        ctx = self.ctx
+        src = self.task_dev[t]
+        if src == dst:
+            return 0.0
+        params, on_dev, on_node = ctx.params, self.on_dev, self.on_node
+        ns, nd = ctx.dev_node[src], ctx.dev_node[dst]
+        dev_span = node_span = 0.0
+        for m in ctx.task_modules[t]:
+            here = on_dev[m]
+            dev_span += params[m] * ((here[dst] == 0) - (here[src] == 1))
+            if ns != nd:
+                here = on_node[m]
+                node_span += params[m] * ((here[nd] == 0) - (here[ns] == 1))
+        return ctx.w_intra * dev_span + (ctx.w_inter - ctx.w_intra) * node_span
+
+    def move(self, t: int, dst: int) -> None:
+        ctx = self.ctx
+        src = self.task_dev[t]
+        ns, nd = ctx.dev_node[src], ctx.dev_node[dst]
+        for m in ctx.task_modules[t]:
+            here = self.on_dev[m]
+            here[src] -= 1
+            here[dst] += 1
+            here = self.on_node[m]
+            here[ns] -= 1
+            here[nd] += 1
+        self.task_dev[t] = dst
 
 
 def comm_cost(
@@ -127,7 +168,8 @@ def comm_cost(
     """Synchronization cost of an assignment; total is the sum of the
     non-negative per-module contributions."""
     ctx = CostContext(tasks, modules, topo, w_intra, w_inter)
-    return ctx.cost_breakdown(ctx.placement_array(a.placement))
+    per_module = ctx.module_costs(ctx.placement_list(a.placement))
+    return CommCost(sum(per_module), dict(zip(ctx.module_keys, per_module)))
 
 
 def validate_assignment(
@@ -243,27 +285,31 @@ def local_search(
 
     A move is accepted iff it strictly decreases the communication cost
     and keeps the assignment feasible (capacity and curriculum cover).
-    Stops at a local optimum or after `budget` cost evaluations; the
-    result never costs more than the input.
+    Candidates are drawn lazily from a seeded uniform order over the
+    index space t*n_devices + d (relocations) followed by the pairs
+    t1 < t2 (swaps); the order restarts after every accepted move, and
+    draws that are not valid moves are skipped.  Stops at a local optimum
+    (the whole order drawn without an improvement) or after `budget`
+    scored moves; the result never costs more than the input.  Raises
+    AllocationError if a task of the input sits outside the topology.
     """
     ctx = CostContext(tasks, modules, topo, w_intra, w_inter)
-    task_dev = ctx.placement_array(a0.placement)
+    task_dev = ctx.placement_list(a0.placement)
     n_tasks = len(ctx.tasks)
     n_dev = topo.n_devices
+    slots = topo.n_slots_per_gpu
+    spans = SpanCounts(ctx, task_dev) if budget > 0 else None
 
-    is_step0 = np.array(
-        [t.introduce_at_training_step == 0 for t in ctx.tasks], dtype=bool
-    )
-    count = np.zeros(n_dev, dtype=np.int64)
-    count0 = np.zeros(n_dev, dtype=np.int64)
-    for i in range(n_tasks):
-        count[task_dev[i]] += 1
-        if is_step0[i]:
-            count0[task_dev[i]] += 1
+    is_step0 = [t.introduce_at_training_step == 0 for t in ctx.tasks]
+    count = [0] * n_dev
+    count0 = [0] * n_dev
+    for t, d in enumerate(task_dev):
+        count[d] += 1
+        count0[d] += is_step0[t]
 
     def relocate_ok(t: int, dst: int) -> bool:
         src = task_dev[t]
-        if count[dst] >= topo.n_slots_per_gpu:
+        if count[dst] >= slots:
             return False
         s0 = 1 if is_step0[t] else 0
         if count[src] - 1 > 0 and count0[src] - s0 == 0:
@@ -277,61 +323,53 @@ def local_search(
         delta = (1 if is_step0[t2] else 0) - (1 if is_step0[t1] else 0)
         return count0[d1] + delta > 0 and count0[d2] - delta > 0
 
+    # an accepted move must beat the rounding noise of its few summed terms
+    tol = 1e-12 * max(1.0, max(ctx.params, default=0.0) * max(abs(w_intra), abs(w_inter)))
+    n_reloc = n_tasks * n_dev
+    n_moves = n_reloc + n_tasks * (n_tasks - 1) // 2
     rng = random.Random(seed)
-    cur_cost = ctx.cost(task_dev)
     evals = 0
-    improved = True
-    while improved and evals < budget:
-        improved = False
-        moves: list[tuple[int, int, int]] = []
-        for t in range(n_tasks):
-            for dst in range(n_dev):
-                if dst != task_dev[t] and count[dst] < topo.n_slots_per_gpu:
-                    moves.append((0, t, dst))
-        for t1 in range(n_tasks):
-            for t2 in range(t1 + 1, n_tasks):
-                if task_dev[t1] != task_dev[t2]:
-                    moves.append((1, t1, t2))
-        rng.shuffle(moves)
-        for kind, x, y in moves:
-            if evals >= budget:
-                break
-            if kind == 0:
-                if not relocate_ok(x, y):
-                    continue
-                src = task_dev[x]
-                task_dev[x] = y
-                evals += 1
-                new_cost = ctx.cost(task_dev)
-                if new_cost < cur_cost - 1e-12:
-                    cur_cost = new_cost
-                    count[src] -= 1
-                    count[y] += 1
-                    if is_step0[x]:
-                        count0[src] -= 1
-                        count0[y] += 1
-                    improved = True
-                    break
-                task_dev[x] = src
+    drawn = 0  # position in the current order
+    displaced: dict[int, int] = {}  # sparse Fisher-Yates: order[i] where i is not i
+    while evals < budget and drawn < n_moves:
+        j = rng.randrange(drawn, n_moves)
+        k = displaced.get(j, j)
+        displaced[j] = displaced.get(drawn, drawn)
+        drawn += 1
+        if k < n_reloc:
+            t, dst = divmod(k, n_dev)
+            src = task_dev[t]
+            if dst == src or not relocate_ok(t, dst):
+                continue
+            evals += 1
+            if spans.delta(t, dst) < -tol:
+                spans.move(t, dst)
+                count[src] -= 1
+                count[dst] += 1
+                count0[src] -= is_step0[t]
+                count0[dst] += is_step0[t]
+                drawn = 0
+                displaced.clear()
+        else:
+            k -= n_reloc
+            t2 = (1 + math.isqrt(1 + 8 * k)) // 2
+            t1 = k - t2 * (t2 - 1) // 2
+            d1, d2 = task_dev[t1], task_dev[t2]
+            if d1 == d2 or not swap_ok(t1, t2):
+                continue
+            evals += 1
+            change = spans.delta(t1, d2)
+            spans.move(t1, d2)
+            change += spans.delta(t2, d1)
+            if change < -tol:
+                spans.move(t2, d1)
+                shift = is_step0[t2] - is_step0[t1]
+                count0[d1] += shift
+                count0[d2] -= shift
+                drawn = 0
+                displaced.clear()
             else:
-                if not swap_ok(x, y):
-                    continue
-                d1, d2 = task_dev[x], task_dev[y]
-                task_dev[x], task_dev[y] = d2, d1
-                evals += 1
-                new_cost = ctx.cost(task_dev)
-                if new_cost < cur_cost - 1e-12:
-                    cur_cost = new_cost
-                    if is_step0[x] != is_step0[y]:
-                        delta = (1 if is_step0[y] else 0) - (1 if is_step0[x] else 0)
-                        count0[d1] += delta
-                        count0[d2] -= delta
-                    improved = True
-                    break
-                task_dev[x], task_dev[y] = d1, d2
+                spans.move(t1, d1)
 
     devices = topo.devices()
-    placement = {
-        ctx.tasks[i].id: devices[task_dev[i]] for i in range(n_tasks)
-    }
-    return Assignment(placement)
+    return Assignment({task.id: devices[d] for task, d in zip(ctx.tasks, task_dev)})

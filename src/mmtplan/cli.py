@@ -42,6 +42,9 @@ def _cmd_allocate(args) -> int:
     if missing:
         print(f"allocate: tasks without device: {', '.join(missing)}", file=sys.stderr)
         return 1
+    violations = validate_config(tasks, cfg.topology)
+    if violations:
+        raise configgen.ConfigError("validation", "; ".join(violations))
     cost_before = allocator.comm_cost(
         before, tasks, modules, cfg.topology, args.w_intra, args.w_inter
     )
@@ -109,6 +112,18 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _count(low: int):
+    """argparse type: an integer of at least `low`."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmtplan",
@@ -133,9 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the training simulator")
     p.add_argument("config", help="full configuration YAML file")
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--steps", type=_count(0), default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--accum-count", type=int, default=1)
+    p.add_argument("--accum-count", type=_count(1), default=1)
     p.add_argument("--report", help="directory for ledger.tsv and summary.json")
     p.set_defaults(func=_cmd_simulate)
 

@@ -167,12 +167,13 @@ def assign_adapters(
     specs: Sequence[AdapterSpec],
     groups: Optional[Mapping[str, str]],
 ) -> tuple[tuple[str, str], ...]:
-    """Adapter instances for one task, named <adapter>:<resolved group>."""
+    """Adapter instances for one task, named <adapter>:<resolved group>,
+    sorted by adapter name (the order `parse` reads them back in)."""
     out = []
     for spec in specs:
         resolved = resolve_group_name(spec.pattern, spec.side, src, tgt, groups)
         out.append((spec.name, f"{spec.name}:{resolved}"))
-    return tuple(out)
+    return tuple(sorted(out))
 
 
 def default_probe(corpus_root: str) -> Callable[[str], bool]:
@@ -192,9 +193,12 @@ def generate(
     except ValueError as exc:
         raise ConfigError("templates", str(exc)) from exc
 
-    pairs = discover_tasks(
-        src_tpl, tgt_tpl, meta.languages, probe, include_self_pairs=meta.autoencoder
-    )
+    try:
+        pairs = discover_tasks(
+            src_tpl, tgt_tpl, meta.languages, probe, include_self_pairs=meta.autoencoder
+        )
+    except ValueError as exc:
+        raise ConfigError("discovery", str(exc)) from exc
     if not pairs:
         raise ConfigError("discovery", "empty task set: no corpus files found")
 
@@ -427,6 +431,16 @@ def load_meta_config(path: str) -> MetaConfig:
         if p is None:
             return None
         return p if os.path.isabs(p) else os.path.join(base, p)
+
+    langs = doc.get("langs")
+    if isinstance(langs, list):
+        for lang in langs:
+            if not isinstance(lang, str):
+                raise ConfigError(
+                    "meta",
+                    f"langs entry {lang!r} is not a string; quote it "
+                    "(YAML reads an unquoted no, yes, on or off as a boolean)",
+                )
 
     line_counts = doc.get("line_counts")
     if isinstance(line_counts, str):

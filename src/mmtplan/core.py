@@ -7,6 +7,7 @@ across workers.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -183,9 +184,9 @@ def validate_config(tasks: list[TaskSpec], topo: ClusterTopology) -> list[str]:
     for task in sorted(tasks, key=lambda t: t.id):
         violations.extend(validate_task(task))
 
-    ids = [t.id for t in tasks]
-    for dup in sorted({i for i in ids if ids.count(i) > 1}):
-        violations.append(f"duplicate task id: {dup}")
+    for dup, n in sorted(Counter(t.id for t in tasks).items()):
+        if n > 1:
+            violations.append(f"duplicate task id: {dup}")
 
     enc_counts = {len(t.enc_modules) for t in tasks}
     if len(enc_counts) > 1:

@@ -1,13 +1,15 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmtplan.allocator import (
     AllocationError,
     Assignment,
     CostContext,
+    SpanCounts,
     comm_cost,
     initial_assignment,
     local_search,
@@ -15,7 +17,6 @@ from mmtplan.allocator import (
 )
 from mmtplan.core import ClusterTopology, DeviceId, ModuleKey, Side
 from mmtplan.sharing import enumerate_modules
-from mmtplan._cost_py import comm_cost_kernel as py_kernel
 
 from conftest import make_task
 
@@ -123,23 +124,43 @@ class TestCommCost:
         assert comm_cost(Assignment(relabeled), tasks, modules, topo).total == base
 
 
-class TestKernelParity:
-    def test_compiled_matches_pure_python(self):
+class TestIncrementalCost:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n_tasks=st.integers(2, 9),
+        w_intra=st.floats(0.1, 5.0),
+        w_extra=st.floats(0.0, 10.0),
+    )
+    def test_delta_matches_full_recompute(self, data, n_tasks, w_intra, w_extra):
+        # after any sequence of relocations and swaps, the running sum of
+        # incremental scores equals the full recomputation
         topo = ClusterTopology(3, 2, 2)
-        tasks = random_instance(21, 9, topo)
-        modules = enumerate_modules(tasks, 7)
-        ctx = CostContext(tasks, modules, topo)
-        rng = random.Random(0)
-        for _ in range(50):
-            placement = np.array(
-                [rng.randrange(topo.n_devices) for _ in tasks], dtype=np.int64
-            )
-            out = np.zeros(len(ctx.module_keys))
-            expected = py_kernel(
-                ctx.params, ctx.mod_task_off, ctx.mod_task_idx,
-                placement, ctx.dev_node, ctx.w_intra, ctx.w_inter, out,
-            )
-            assert ctx.cost(placement) == pytest.approx(expected, rel=1e-12)
+        tasks = random_instance(data.draw(st.integers(0, 10**6)), n_tasks, topo)
+        params = st.floats(1.0, 1e6, allow_nan=False)
+        modules = {k: data.draw(params) for k in enumerate_modules(tasks)}
+        ctx = CostContext(tasks, modules, topo, w_intra, w_intra + w_extra)
+        device = st.integers(0, topo.n_devices - 1)
+        task = st.integers(0, n_tasks - 1)
+        task_dev = [data.draw(device) for _ in tasks]
+        spans = SpanCounts(ctx, task_dev)
+        cost = ctx.cost(task_dev)
+        scale = sum(ctx.params) * ctx.w_inter
+        moves = st.one_of(
+            st.tuples(st.just("relocate"), task, device),
+            st.tuples(st.just("swap"), task, task),
+        )
+        for kind, x, y in data.draw(st.lists(moves, max_size=30)):
+            if kind == "relocate":
+                cost += spans.delta(x, y)
+                spans.move(x, y)
+            else:
+                d1, d2 = task_dev[x], task_dev[y]
+                cost += spans.delta(x, d2)
+                spans.move(x, d2)
+                cost += spans.delta(y, d1)
+                spans.move(y, d1)
+            assert cost == pytest.approx(ctx.cost(task_dev), rel=1e-9, abs=1e-9 * scale)
 
 
 class TestInitialAssignment:
@@ -251,3 +272,13 @@ class TestLocalSearch:
         modules = enumerate_modules(tasks, 10)
         a0 = initial_assignment(tasks, topo)
         assert local_search(a0, tasks, modules, topo, budget=0).placement == a0.placement
+
+    def test_rejects_start_outside_topology(self):
+        topo = ClusterTopology(1, 2, 2)
+        t1 = make_task("aa", "zz", ["x"], ["y"])
+        t2 = make_task("bb", "zz", ["x"], ["y"])
+        modules = enumerate_modules([t1, t2], 10)
+        for bad in (DeviceId(0, -1), DeviceId(1, 0)):
+            a0 = Assignment({t1.id: DeviceId(0, 0), t2.id: bad})
+            with pytest.raises(AllocationError, match=f"{t2.id}.*{bad}"):
+                local_search(a0, [t1, t2], modules, topo)

@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+import yaml
 
 from mmtplan.cli import main
 from mmtplan.configgen import load_full_config
@@ -63,6 +64,18 @@ class TestGenerate:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["generate", str(tmp_path / "nope.yaml")]) == 1
 
+    def test_unquoted_norwegian_fails_cleanly(self, workspace, capsys):
+        meta = workspace / "meta.yaml"
+        meta.write_text(META_YAML.replace("langs: [bg, de, en]", "langs: [en, no]"))
+        for pair, langs in (("en-no", ("en", "no")), ("no-en", ("no", "en"))):
+            (workspace / "corpus" / pair).mkdir()
+            for lang in langs:
+                (workspace / "corpus" / pair / f"train.{lang}").write_text("x\n")
+        assert main(["generate", str(meta)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [meta] ") and "quote" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestValidate:
     def test_valid_config(self, workspace):
@@ -112,6 +125,23 @@ class TestAllocate:
         assert after <= before
 
 
+    @pytest.mark.parametrize("device", ["0:-1", "1:0"])
+    def test_device_outside_topology_exits_1(self, workspace, capsys, device):
+        out = workspace / "full.yaml"
+        main(["generate", str(workspace / "meta.yaml"), "-o", str(out)])
+        doc = yaml.safe_load(out.read_text())
+        doc["tasks"]["train_bg-de"]["node_gpu"] = device
+        out.write_text(yaml.safe_dump(doc))
+        result = workspace / "reallocated.yaml"
+        capsys.readouterr()
+        assert main(["allocate", str(out), "-o", str(result)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [validation] task train_bg-de: device ")
+        assert captured.err.count("\n") == 1
+        assert not result.exists()
+
+
 class TestSimulate:
     def test_report_files(self, workspace):
         out = workspace / "full.yaml"
@@ -130,6 +160,14 @@ class TestSimulate:
         out = workspace / "full.yaml"
         main(["generate", str(workspace / "meta.yaml"), "-o", str(out)])
         assert main(["simulate", str(out), "--steps", "0"]) == 0
+
+    @pytest.mark.parametrize("flag", [["--steps", "-5"], ["--accum-count", "0"]])
+    def test_bad_counts_are_usage_errors(self, workspace, flag):
+        out = workspace / "full.yaml"
+        main(["generate", str(workspace / "meta.yaml"), "-o", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(out), *flag])
+        assert exc.value.code == 2
 
     def test_deterministic(self, workspace, capsys):
         out = workspace / "full.yaml"

@@ -127,6 +127,11 @@ class TestGenerate:
         with pytest.raises(ConfigError, match="empty task set"):
             generate(meta, lambda p: False)
 
+    def test_invalid_language_is_a_discovery_error(self):
+        meta = meta_for(["bg", "EN"])
+        with pytest.raises(ConfigError, match=r"\[discovery\] invalid language code: 'EN'"):
+            generate(meta, all_files_exist)
+
     def test_deterministic_bytes(self):
         meta = meta_for(
             ["bg", "de", "en", "fi"],
@@ -202,6 +207,18 @@ class TestRoundTrip:
         cfg = generate(meta, all_files_exist)
         assert parse(emit(cfg)) == cfg
 
+    def test_adapters_out_of_name_order(self):
+        meta = meta_for(
+            ["bg", "de", "en"],
+            adapters=(
+                AdapterSpec("tgt", Side.DECODER, (0,), SP.LANGUAGE),
+                AdapterSpec("src", Side.ENCODER, (0,), SP.LANGUAGE),
+            ),
+        )
+        cfg = generate(meta, all_files_exist)
+        assert cfg.tasks["train_bg-en"].adapters == (("src", "src:bg"), ("tgt", "tgt:en"))
+        assert parse(emit(cfg)) == cfg
+
     def test_emit_is_stable_under_round_trip(self):
         meta = meta_for(["bg", "en"])
         cfg = generate(meta, all_files_exist)
@@ -251,6 +268,17 @@ seed: 11
     def test_malformed_meta(self, tmp_path):
         (tmp_path / "meta.yaml").write_text("langs: [bg]\n")
         with pytest.raises(ConfigError, match="meta"):
+            load_meta_config(str(tmp_path / "meta.yaml"))
+
+    def test_unquoted_boolean_language(self, tmp_path):
+        # YAML 1.1 reads Norwegian `no` as False
+        (tmp_path / "meta.yaml").write_text(
+            "langs: [en, no]\n"
+            "src_path_template: x\ntgt_path_template: y\n"
+            "enc_sharing: []\ndec_sharing: []\n"
+            "n_gpus_per_node: 1\nn_slots_per_gpu: 1\n"
+        )
+        with pytest.raises(ConfigError, match=r"\[meta\] langs entry False .*quote"):
             load_meta_config(str(tmp_path / "meta.yaml"))
 
     def test_adapter_position_out_of_bounds(self):
