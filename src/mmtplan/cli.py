@@ -3,7 +3,8 @@
 Subcommands: generate (compile a meta-configuration), allocate (re-run
 device allocation on a full configuration), simulate (run the training
 simulator), validate (check a full configuration).  Exit codes: 0 on
-success, 1 on validation/pipeline failure, 2 on usage errors.
+success, 1 on validation/pipeline failure, 2 on usage errors.  A failure
+prints one line, `error: [stage] message`, to stderr.
 """
 from __future__ import annotations
 
@@ -33,18 +34,26 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_allocate(args) -> int:
-    cfg = configgen.load_full_config(args.config)
-    tasks = list(cfg.tasks.values())
-    modules = enumerate_modules(tasks)
-    before = allocator.Assignment({t.id: t.device for t in tasks})
-    missing = [t.id for t in tasks if t.device is None]
-    if missing:
-        print(f"allocate: tasks without device: {', '.join(missing)}", file=sys.stderr)
-        return 1
-    violations = validate_config(tasks, cfg.topology)
+def _load_valid_config(path: str) -> configgen.FullConfig:
+    """Load a full configuration; every violation of `validate_config`
+    ends up in one `ConfigError` of stage "validation"."""
+    cfg = configgen.load_full_config(path)
+    violations = validate_config(list(cfg.tasks.values()), cfg.topology)
     if violations:
         raise configgen.ConfigError("validation", "; ".join(violations))
+    return cfg
+
+
+def _cmd_allocate(args) -> int:
+    cfg = _load_valid_config(args.config)
+    tasks = list(cfg.tasks.values())
+    missing = [t.id for t in tasks if t.device is None]
+    if missing:
+        raise configgen.ConfigError(
+            "allocation", f"tasks without device: {', '.join(missing)}"
+        )
+    modules = enumerate_modules(tasks)
+    before = allocator.Assignment({t.id: t.device for t in tasks})
     cost_before = allocator.comm_cost(
         before, tasks, modules, cfg.topology, args.w_intra, args.w_inter
     )
@@ -76,12 +85,7 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = configgen.load_full_config(args.config)
-    violations = validate_config(list(cfg.tasks.values()), cfg.topology)
-    if violations:
-        for v in violations:
-            print(f"[validation] {v}", file=sys.stderr)
-        return 1
+    cfg = _load_valid_config(args.config)
     ledger, summary = syncsim.run_benchmark(
         list(cfg.tasks.values()),
         cfg.topology,
@@ -102,12 +106,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = configgen.load_full_config(args.config)
-    violations = validate_config(list(cfg.tasks.values()), cfg.topology)
-    if violations:
-        for v in violations:
-            print(f"[validation] {v}", file=sys.stderr)
-        return 1
+    cfg = _load_valid_config(args.config)
     print(f"{args.config}: OK ({len(cfg.tasks)} tasks)")
     return 0
 
@@ -166,14 +165,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except configgen.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (allocator.AllocationError, syncsim.SimulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
+    except allocator.AllocationError as exc:
+        message = f"[allocation] {exc}"
+    except syncsim.SimulationError as exc:
+        message = f"[simulation] {exc}"
+    except OSError as exc:
+        message = f"[io] {exc}"
+    # one line per failure, whatever the message (YAML errors span several)
+    print("error: " + " ".join(message.split()), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -330,58 +330,93 @@ def emit(cfg: FullConfig) -> str:
     return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
 
 
+def _typed(value, kind, what: str, stage: str = "parse"):
+    """`value` if it is an instance of `kind`, else a `ConfigError` of
+    `stage`.  A bool is never accepted where YAML should give a number."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        expected = " or ".join(k.__name__ for k in kinds)
+        raise ConfigError(stage, f"{what}: expected {expected}, got {value!r}")
+    return value
+
+
+def _get(doc: dict, key: str, kind, where: str = "", default=None):
+    """doc[key], or `default` if one is given and the key is absent,
+    checked by `_typed`; errors name the field as `where` + `key`."""
+    value = doc[key] if default is None else doc.get(key, default)
+    return _typed(value, kind, f"{where}{key}")
+
+
+def _get_list(doc: dict, key: str, kind, where: str = "", default=None) -> list:
+    """`_get` for a list whose every item is a `kind`."""
+    items = _get(doc, key, list, where, default)
+    return [_typed(v, kind, f"{where}{key}") for v in items]
+
+
 def parse(text: str) -> FullConfig:
-    """Inverse of emit: parse(emit(cfg)) == cfg."""
+    """Inverse of emit: parse(emit(cfg)) == cfg.  Every field is checked
+    for its type here, so later stages see only well-typed values."""
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError("parse", f"invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("parse", "top level must be a mapping")
+    number = (int, float)
     try:
         topo = ClusterTopology(
-            n_nodes=doc["n_nodes"],
-            n_gpus_per_node=doc["n_gpus_per_node"],
-            n_slots_per_gpu=doc["n_slots_per_gpu"],
-            alpha_intra=doc.get("alpha_intra", 5e-6),
-            alpha_inter=doc.get("alpha_inter", 20e-6),
-            beta_intra=doc.get("beta_intra", 100e9),
-            beta_inter=doc.get("beta_inter", 12.5e9),
+            n_nodes=_get(doc, "n_nodes", int),
+            n_gpus_per_node=_get(doc, "n_gpus_per_node", int),
+            n_slots_per_gpu=_get(doc, "n_slots_per_gpu", int),
+            alpha_intra=_get(doc, "alpha_intra", number, default=5e-6),
+            alpha_inter=_get(doc, "alpha_inter", number, default=20e-6),
+            beta_intra=_get(doc, "beta_intra", number, default=100e9),
+            beta_inter=_get(doc, "beta_inter", number, default=12.5e9),
         )
-        enc_layers = tuple(doc["enc_layers"])
-        dec_layers = tuple(doc["dec_layers"])
+        enc_layers = tuple(_get_list(doc, "enc_layers", int))
+        dec_layers = tuple(_get_list(doc, "dec_layers", int))
         tasks: dict[str, TaskSpec] = {}
         for tid, entry in doc["tasks"].items():
-            src, _, tgt = entry["src_tgt"].partition("-")
-            enc = tuple(
-                ModuleKey(Side.ENCODER, i, g)
-                for i, g in enumerate(entry["enc_sharing_groups"])
-            )
-            dec = tuple(
-                ModuleKey(Side.DECODER, i, g)
-                for i, g in enumerate(entry["dec_sharing_groups"])
-            )
-            device = (
-                DeviceId.parse(entry["node_gpu"]) if "node_gpu" in entry else None
-            )
-            adapters = tuple(sorted(entry.get("adapters", {}).items()))
+            where = f"task {_typed(tid, str, 'task id')}: "
+            entry = _typed(entry, dict, where + "entry")
+            src, _, tgt = _get(entry, "src_tgt", str, where).partition("-")
+            enc_groups = _get_list(entry, "enc_sharing_groups", str, where)
+            dec_groups = _get_list(entry, "dec_sharing_groups", str, where)
+            enc = tuple(ModuleKey(Side.ENCODER, i, g) for i, g in enumerate(enc_groups))
+            dec = tuple(ModuleKey(Side.DECODER, i, g) for i, g in enumerate(dec_groups))
+            device = None
+            if "node_gpu" in entry:
+                if not isinstance(entry["node_gpu"], str):
+                    raise ConfigError(
+                        "parse",
+                        f"{where}node_gpu {entry['node_gpu']!r} is not a string; "
+                        "quote it (YAML reads an unquoted 2:0 as 120)",
+                    )
+                device = DeviceId.parse(entry["node_gpu"])
+            adapters = _get(entry, "adapters", dict, where, default={})
+            for name in [*adapters, *adapters.values()]:
+                _typed(name, str, where + "adapters")
             tasks[tid] = TaskSpec(
                 id=tid,
                 src_lang=src,
                 tgt_lang=tgt,
-                src_path=entry["path_src"],
-                tgt_path=entry["path_tgt"],
+                src_path=_get(entry, "path_src", str, where),
+                tgt_path=_get(entry, "path_tgt", str, where),
                 enc_modules=enc,
                 dec_modules=dec,
                 enc_layers=enc_layers[: len(enc)],
                 dec_layers=dec_layers[: len(dec)],
-                weight=entry.get("weight", 1),
-                introduce_at_training_step=entry.get("introduce_at_training_step", 0),
-                transforms=tuple(entry.get("transforms", ())),
-                adapters=adapters,
+                weight=_get(entry, "weight", int, where, default=1),
+                introduce_at_training_step=_get(
+                    entry, "introduce_at_training_step", int, where, default=0
+                ),
+                transforms=tuple(_get_list(entry, "transforms", str, where, [])),
+                adapters=tuple(sorted(adapters.items())),
                 device=device,
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except ConfigError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError("parse", f"malformed configuration: {exc!r}") from exc
     return FullConfig(
         tasks=dict(sorted(tasks.items())),
@@ -415,6 +450,14 @@ def _parse_stacks(raw, side_name: str) -> tuple[tuple[SharingPattern, int], ...]
     return tuple(stacks)
 
 
+def _load_meta_yaml(path: str):
+    with open(path) as f:
+        try:
+            return yaml.safe_load(f)
+        except yaml.YAMLError as exc:
+            raise ConfigError("meta", f"invalid YAML in {path}: {exc}") from exc
+
+
 def load_meta_config(path: str) -> MetaConfig:
     """Read a meta-configuration YAML file.
 
@@ -422,8 +465,7 @@ def load_meta_config(path: str) -> MetaConfig:
     resolved against the meta file's directory.
     """
     base = os.path.dirname(os.path.abspath(path))
-    with open(path) as f:
-        doc = yaml.safe_load(f)
+    doc = _load_meta_yaml(path)
     if not isinstance(doc, dict):
         raise ConfigError("meta", "meta-configuration must be a mapping")
 
@@ -444,8 +486,12 @@ def load_meta_config(path: str) -> MetaConfig:
 
     line_counts = doc.get("line_counts")
     if isinstance(line_counts, str):
-        with open(resolve(line_counts)) as f:
-            line_counts = yaml.safe_load(f)
+        line_counts = _load_meta_yaml(resolve(line_counts))
+    if line_counts is not None:
+        line_counts = {
+            _typed(k, str, "line_counts", "meta"): _typed(v, int, "line_counts", "meta")
+            for k, v in _typed(line_counts, dict, "line_counts", "meta").items()
+        }
 
     try:
         arch = ArchSpec(
@@ -475,9 +521,13 @@ def load_meta_config(path: str) -> MetaConfig:
             for a in doc.get("adapters", ())
         )
         return MetaConfig(
-            languages=tuple(doc["langs"]),
-            src_path_template=doc["src_path_template"],
-            tgt_path_template=doc["tgt_path_template"],
+            languages=tuple(_typed(doc["langs"], list, "langs", "meta")),
+            src_path_template=_typed(
+                doc["src_path_template"], str, "src_path_template", "meta"
+            ),
+            tgt_path_template=_typed(
+                doc["tgt_path_template"], str, "tgt_path_template", "meta"
+            ),
             corpus_mode=CorpusMode(doc.get("corpus_mode", "directional")),
             arch=arch,
             topology=topo,
@@ -488,7 +538,9 @@ def load_meta_config(path: str) -> MetaConfig:
             noise_transform=str(doc.get("noise_transform", "bart")),
             curriculum_stages=stages,
             adapters=adapters,
-            corpus_root=resolve(doc.get("corpus_root", ".")),
+            corpus_root=resolve(
+                _typed(doc.get("corpus_root", "."), str, "corpus_root", "meta")
+            ),
             line_counts=line_counts,
             seed=int(doc.get("seed", 0)),
             search_budget=int(doc.get("search_budget", allocator.DEFAULT_BUDGET)),

@@ -175,7 +175,9 @@ def validate_task(task: TaskSpec) -> list[str]:
 
 
 def validate_config(tasks: list[TaskSpec], topo: ClusterTopology) -> list[str]:
-    """Validate a full task set against topology bounds and slot limits.
+    """Validate a full task set against topology bounds, slot limits and
+    the curriculum cover (every used device hosts a task active from
+    step 0, so the multiplexer always has a task to draw).
 
     Returns an empty list iff the configuration is valid.  Violations are
     reported, never raised; the result is independent of task order.
@@ -201,18 +203,21 @@ def validate_config(tasks: list[TaskSpec], topo: ClusterTopology) -> list[str]:
             + ", ".join(str(c) for c in sorted(dec_counts))
         )
 
-    per_device: dict[DeviceId, int] = {}
+    per_device: dict[DeviceId, list[TaskSpec]] = {}
     for task in sorted(tasks, key=lambda t: t.id):
         if task.device is None:
             continue
         if not topo.contains(task.device):
             violations.append(f"task {task.id}: device {task.device} outside topology")
             continue
-        per_device[task.device] = per_device.get(task.device, 0) + 1
+        per_device.setdefault(task.device, []).append(task)
     for dev in sorted(per_device):
-        if per_device[dev] > topo.n_slots_per_gpu:
+        hosted = per_device[dev]
+        if len(hosted) > topo.n_slots_per_gpu:
             violations.append(
-                f"device {dev} holds {per_device[dev]} tasks, "
+                f"device {dev} holds {len(hosted)} tasks, "
                 f"exceeding n_slots_per_gpu={topo.n_slots_per_gpu}"
             )
+        if not any(t.introduce_at_training_step == 0 for t in hosted):
+            violations.append(f"device {dev} has no task active from step 0")
     return violations

@@ -137,16 +137,3 @@ def enumerate_modules(
         for key, n_layers in inventory.items()
     }
 
-
-def embedding_modules(
-    vocab_size: int = 64000,
-    dim: int = 512,
-) -> dict[ModuleKey, ModuleInfo]:
-    """Implicit fully-shared embedding block per side (single shared
-    vocabulary).  Opt-in for cost accounting; not part of the task module
-    inventory."""
-    params = vocab_size * dim
-    return {
-        ModuleKey(Side.ENCODER, -1, "full"): ModuleInfo(1, params),
-        ModuleKey(Side.DECODER, -1, "full"): ModuleInfo(1, params),
-    }

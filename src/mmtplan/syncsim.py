@@ -1,16 +1,18 @@
 """Desk-scale simulation of modular distributed training.
 
-Simulated devices run a toy linear-chain model over the real task/module
-structure of a configuration, reproducing the gradient accumulation and
-communication protocol exactly: gradients of a shared module are summed
-across the devices hosting it and renormalized by the number of devices
-that actually used the module this step.  A single-process oracle
+`run_benchmark` models the communication of each optimizer step from the
+multiplexing trace alone: which tasks each device drew decides which
+shared modules all-reduce their gradients, and a ring allreduce cost
+model turns the ledger's bytes into time.  Modules hosted on a single
+device never communicate at all.  No gradient value enters the ledger.
+
+The synchronization rule itself has a tensor-level reference: simulated
+devices run a toy linear-chain model over the real task/module structure,
+and `sync_step` sums a shared module's gradients across the devices
+hosting it and renormalizes by the number of devices that actually used
+the module this step.  A single-process oracle, `oracle_reference`,
 computes the same quantity without any simulated communication and
 serves as ground truth.
-
-Communication volume and time are tracked in a ledger using a ring
-allreduce cost model; modules hosted on a single device never
-communicate at all.
 """
 from __future__ import annotations
 
@@ -298,87 +300,79 @@ def run_benchmark(
     steps: int,
     seed: int = 0,
     accum_count: int = 1,
-    dim: int = 4,
     batch_tokens: int = 4096,
     compute_coeff: float = 2e-9,
 ) -> tuple[CommLedger, dict]:
-    """Simulate optimizer steps over an allocated configuration.
+    """Model the communication and compute of optimizer steps over an
+    allocated configuration, from the multiplexing trace alone.
 
     Each step, every device draws `accum_count` batches via the task
-    multiplexer, accumulates toy-model gradients and joins the module-wise
-    synchronization.  Compute time is modeled as coeff * tokens * layers;
-    communication time follows the ring allreduce model with the worst
-    link class spanned by each module's device group.
+    multiplexer.  Each module hosted on two or more devices all-reduces its
+    ready flags, and its gradient too if a drawn task used it; the ring
+    allreduce model charges the worst link class its device group spans.
+    Compute time is coeff * tokens * layers on the slowest device.
     """
     tasks = sorted(tasks, key=lambda t: t.id)
     for t in tasks:
         if t.device is None:
             raise SimulationError(f"task {t.id} has no device assignment")
+        if not t.modules():
+            raise SimulationError(f"task {t.id} must use at least one module")
 
     modules = enumerate_modules(tasks)
-    model = ToyModel.random(modules, dim=dim, seed=seed)
+    keys = sorted(modules)
+    module_id = {key: m for m, key in enumerate(keys)}
+    task_modules = {t.id: frozenset(module_id[k] for k in t.modules()) for t in tasks}
+    chain_layers = {t.id: sum(t.enc_layers) + sum(t.dec_layers) for t in tasks}
 
     by_device: dict[int, list[TaskSpec]] = {}
+    hosts: list[set[int]] = [set() for _ in keys]
     for t in tasks:
-        by_device.setdefault(topo.flat(t.device), []).append(t)
+        i = topo.flat(t.device)
+        by_device.setdefault(i, []).append(t)
+        for m in task_modules[t.id]:
+            hosts[m].add(i)
     dev_indices = sorted(by_device)
-    devices = {
-        i: DeviceState(
-            i, frozenset().union(*(set(t.modules()) for t in by_device[i])), dim
-        )
-        for i in dev_indices
-    }
-    chain_layers = {
-        t.id: sum(t.enc_layers) + sum(t.dec_layers) for t in tasks
-    }
-    node_of = {i: i // topo.n_gpus_per_node for i in dev_indices}
 
-    # static communication groups: all hosting devices of each module
-    groups = {
-        key: [i for i in dev_indices if key in devices[i].hosted]
-        for key in sorted(modules)
-    }
+    # Modules hosted on 2+ devices, in sorted-key order so that comm_time
+    # sums its terms in a fixed order: (id, gradient bytes, ready-flag
+    # time, gradient time).  Single-device modules never communicate.
+    shared: list[tuple[int, int, float, float]] = []
+    ready_bytes = 0
+    for m, key in enumerate(keys):
+        g = len(hosts[m])
+        if g < 2:
+            continue
+        spans_nodes = len({i // topo.n_gpus_per_node for i in hosts[m]}) > 1
+        alpha = topo.alpha_inter if spans_nodes else topo.alpha_intra
+        beta = topo.beta_inter if spans_nodes else topo.beta_intra
+        payload = GRAD_BYTES_PER_PARAM * modules[key].n_params
+        ready_bytes += READY_ENTRY_BYTES * g
+        ready_time = ring_allreduce_time(READY_ENTRY_BYTES, g, alpha, beta)
+        grad_time = ring_allreduce_time(payload, g, alpha, beta)
+        shared.append((m, payload, ready_time, grad_time))
 
     mux_rngs = {i: random.Random(f"{seed}:{i}:mux") for i in dev_indices}
-    data_rngs = {i: np.random.default_rng([seed, i]) for i in dev_indices}
 
     ledger = CommLedger()
     for step in range(steps):
-        step_tokens = 0
-        compute_per_device = {i: 0.0 for i in dev_indices}
+        used: set[int] = set()
+        compute_per_device = []
         for i in dev_indices:
-            dev = devices[i]
-            dev.reset()
+            compute = 0.0
             for _ in range(accum_count):
                 task = multiplex(by_device[i], step, mux_rngs[i])
-                x = data_rngs[i].standard_normal(dim)
-                chain = list(task.modules())
-                states = forward(model, chain, x)
-                dev.accumulate(local_backward(model, chain, states))
-                compute_per_device[i] += (
-                    compute_coeff * batch_tokens * chain_layers[task.id]
-                )
-                step_tokens += batch_tokens
+                used |= task_modules[task.id]
+                compute += compute_coeff * batch_tokens * chain_layers[task.id]
+            compute_per_device.append(compute)
 
-        sync_step([devices[i] for i in dev_indices])
-
-        ready_bytes = 0
         grad_bytes = 0
         comm_time = 0.0
-        for key, group in groups.items():
-            g = len(group)
-            if g < 2:
-                continue
-            spans_nodes = len({node_of[i] for i in group}) > 1
-            alpha = topo.alpha_inter if spans_nodes else topo.alpha_intra
-            beta = topo.beta_inter if spans_nodes else topo.beta_intra
-            ready_bytes += READY_ENTRY_BYTES * g
-            comm_time += ring_allreduce_time(READY_ENTRY_BYTES, g, alpha, beta)
-            n_used = sum(1 for i in group if key in devices[i].used)
-            if n_used >= 1:
-                payload = GRAD_BYTES_PER_PARAM * modules[key].n_params
+        for m, payload, ready_time, grad_time in shared:
+            comm_time += ready_time
+            if m in used:
                 grad_bytes += payload
-                comm_time += ring_allreduce_time(payload, g, alpha, beta)
+                comm_time += grad_time
 
         ledger.records.append(
             StepRecord(
@@ -386,8 +380,8 @@ def run_benchmark(
                 ready_bytes=ready_bytes,
                 grad_bytes=grad_bytes,
                 comm_time=comm_time,
-                compute_time=max(compute_per_device.values()) if dev_indices else 0.0,
-                tokens=step_tokens,
+                compute_time=max(compute_per_device, default=0.0),
+                tokens=batch_tokens * accum_count * len(dev_indices),
             )
         )
 

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mmtplan.cli import main
 from mmtplan.configgen import load_full_config
@@ -24,10 +27,9 @@ seed: 0
 """
 
 
-@pytest.fixture
-def workspace(tmp_path):
-    (tmp_path / "meta.yaml").write_text(META_YAML)
-    corpus = tmp_path / "corpus"
+def make_workspace(root):
+    (root / "meta.yaml").write_text(META_YAML)
+    corpus = root / "corpus"
     for src in ["bg", "de", "en"]:
         for tgt in ["bg", "de", "en"]:
             if src == tgt:
@@ -36,7 +38,25 @@ def workspace(tmp_path):
             pair.mkdir(parents=True, exist_ok=True)
             (pair / f"train.{src}").write_text("x\n")
             (pair / f"train.{tgt}").write_text("x\n")
-    return tmp_path
+    return root
+
+
+@pytest.fixture
+def workspace(tmp_path):
+    return make_workspace(tmp_path)
+
+
+def generated(workspace):
+    out = workspace / "full.yaml"
+    assert main(["generate", str(workspace / "meta.yaml"), "-o", str(out)]) == 0
+    return out
+
+
+def one_error_line(capsys, stage):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [{stage}] "), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
 
 
 class TestGenerate:
@@ -112,6 +132,129 @@ tasks:
         assert main(["validate", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert "unequal encoder position count" in err
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_uncovered_device_exits_1(self, workspace, capsys, command):
+        # every task delayed: no device has a task to draw at step 0
+        out = generated(workspace)
+        out.write_text(
+            out.read_text().replace(
+                "introduce_at_training_step: 0", "introduce_at_training_step: 3"
+            )
+        )
+        capsys.readouterr()
+        assert main([command, str(out)]) == 1
+        err = one_error_line(capsys, "validation")
+        assert "has no task active from step 0" in err
+
+
+class TestBadInput:
+    def test_malformed_meta_yaml(self, workspace, capsys):
+        meta = workspace / "meta.yaml"
+        meta.write_text(META_YAML.replace("[bg, de, en]", "[bg, de, en"))
+        assert main(["generate", str(meta)]) == 1
+        one_error_line(capsys, "meta")
+
+    @pytest.mark.parametrize("command", ["generate", "validate"])
+    def test_directory_path(self, tmp_path, capsys, command):
+        assert main([command, str(tmp_path)]) == 1
+        one_error_line(capsys, "io")
+
+    def test_unquoted_node_gpu(self, workspace, capsys):
+        # YAML 1.1 reads an unquoted 2:0 as the base-60 integer 120
+        out = generated(workspace)
+        text = out.read_text()
+        assert "node_gpu: 0:1" in text
+        out.write_text(text.replace("node_gpu: 0:1", "node_gpu: 2:0", 1))
+        capsys.readouterr()
+        assert main(["validate", str(out)]) == 1
+        err = one_error_line(capsys, "parse")
+        assert "node_gpu 120" in err and "quote" in err
+
+    def test_task_list_instead_of_mapping(self, tmp_path, capsys):
+        path = tmp_path / "list.yaml"
+        path.write_text(
+            "enc_layers: [2]\ndec_layers: [2]\nn_nodes: 1\n"
+            "n_gpus_per_node: 1\nn_slots_per_gpu: 2\ntasks: [1, 2]\n"
+        )
+        assert main(["validate", str(path)]) == 1
+        one_error_line(capsys, "parse")
+
+
+# Replacement values for mutated lines: YAML 1.1 traps (no, 2:0), wrong
+# types and empty values.  Integers stay small so that no mutation asks
+# for a huge topology.
+FUZZ_VALUES = [
+    "~", "no", "yes", "2:0", "0:1", "-1", "0", "1", "3", "1.5", "''", "x",
+    "[]", "{}", "[1, 2]", "{a: 1}", "[bg, de]", "'1:0'", "- x", ": :", "[",
+]
+
+
+@st.composite
+def mutated(draw, text):
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["value", "delete", "duplicate", "insert"]))
+        value = draw(st.sampled_from(FUZZ_VALUES))
+        if op == "value":
+            head, sep, _ = lines[i].partition(":")
+            lines[i] = f"{head}: {value}" if sep else f"{head} {value}"
+        elif op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines.insert(i, value)
+    return "\n".join(lines) + "\n"
+
+
+def run_cli(argv):
+    """Exit code of `main`; a failure must print one tagged stderr line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if code == 1:
+        assert err.getvalue().startswith("error: [") and err.getvalue().count("\n") == 1
+    return code
+
+
+@pytest.fixture(scope="module")
+def fuzz_workspace(tmp_path_factory):
+    root = make_workspace(tmp_path_factory.mktemp("fuzz"))
+    assert main(["generate", str(root / "meta.yaml"), "-o", str(root / "full.yaml")]) == 0
+    return root
+
+
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestFuzz:
+    """Every input ends in exit 0, 1 or 2; no exception escapes `main`."""
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_full_config(self, fuzz_workspace, data):
+        text = data.draw(mutated((fuzz_workspace / "full.yaml").read_text()))
+        path = fuzz_workspace / "mutated_full.yaml"
+        path.write_text(text)
+        for argv in (["validate"], ["allocate"], ["simulate", "--steps", "1"]):
+            assert run_cli([*argv, str(path)]) in (0, 1, 2)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_meta(self, fuzz_workspace, data):
+        path = fuzz_workspace / "mutated_meta.yaml"
+        path.write_text(data.draw(mutated(META_YAML)))
+        out = fuzz_workspace / "mutated_out.yaml"
+        assert run_cli(["generate", str(path), "-o", str(out)]) in (0, 1, 2)
 
 
 class TestAllocate:

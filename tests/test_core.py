@@ -116,3 +116,12 @@ class TestValidateConfig:
         t = make_task("aa", "bb", ["x"], ["y"], enc_layers=(1, 2))
         violations = validate_config([t], ClusterTopology(1, 1, 1))
         assert any("length mismatch" in v for v in violations)
+
+    def test_curriculum_cover(self):
+        topo = ClusterTopology(1, 2, 2)
+        delayed = make_task("aa", "bb", ["x"], ["y"], intro=5, device=(0, 1))
+        covered = make_task("bb", "aa", ["x"], ["y"], device=(0, 1))
+        assert validate_config([delayed], topo) == [
+            "device 0:1 has no task active from step 0"
+        ]
+        assert validate_config([delayed, covered], topo) == []

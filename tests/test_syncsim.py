@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -307,6 +308,49 @@ class TestRunBenchmark:
         t = make_task("aa", "bb", ["x"], ["y"])
         with pytest.raises(SimulationError):
             run_benchmark([t], topo, steps=1)
+
+
+PINNED_LEDGER = """\
+step\tready_bytes\tgrad_bytes\tcomm_time\tcompute_time\ttokens
+0\t16\t25182208\t2.134577280e-03\t1.310720000e-04\t16384
+1\t16\t25182208\t2.134577280e-03\t1.310720000e-04\t16384
+2\t16\t62955520\t5.196442240e-03\t1.310720000e-04\t16384
+3\t16\t25182208\t2.134577280e-03\t1.310720000e-04\t16384
+4\t16\t62955520\t5.196442240e-03\t9.830400000e-05\t16384
+"""
+
+PINNED_SUMMARY = """\
+{
+  "comm_time_fraction": 0.9642583067747592,
+  "devices": 2,
+  "grad_allreduce_bytes": 201457664,
+  "modules": 7,
+  "ready_sync_bytes": 80,
+  "steps": 5,
+  "tasks": 4,
+  "tokens_per_sec": 4702854.371742193,
+  "total_time_sec": 0.017419208320000004,
+  "total_tokens": 81920
+}"""
+
+
+def test_ledger_and_summary_are_pinned():
+    """Byte-exact ledger and summary for a fixed plan on two nodes.
+
+    enc:1:full spans both nodes and is used every step; dec:0:en is
+    hosted on both nodes but used only when train_de-en is drawn on node
+    0 or, from step 2 on, train_fr-en on node 1, so grad_bytes varies.
+    """
+    topo = ClusterTopology(2, 1, 2)
+    tasks = [
+        make_task("de", "en", ["de", "full"], ["en"], (1, 2), (3,), device=(0, 0)),
+        make_task("de", "fr", ["de", "full"], ["fr"], (1, 2), (3,), weight=3, device=(0, 0)),
+        make_task("en", "de", ["en", "full"], ["de"], (3, 2), (3,), device=(1, 0)),
+        make_task("fr", "en", ["fr", "full"], ["en"], (1, 2), (3,), intro=2, device=(1, 0)),
+    ]
+    ledger, summary = run_benchmark(tasks, topo, steps=5, seed=8, accum_count=2)
+    assert ledger.to_tsv() == PINNED_LEDGER
+    assert json.dumps(summary, indent=2, sort_keys=True) == PINNED_SUMMARY
 
 
 class TestScaling:
