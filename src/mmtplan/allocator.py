@@ -50,7 +50,11 @@ def _param_count(value) -> float:
 class CostContext:
     """One task/module structure over integer ids: tasks sorted by id,
     modules sorted by key, devices in `topo.devices()` order.  Placements
-    are lists of device indices, one per task."""
+    are lists of device indices, one per task.  The simulator numbers
+    modules and finds their hosting devices through this index too.
+
+    Span weights must be finite with 0 <= w_intra <= w_inter, so that an
+    extra node never costs less than an extra device."""
 
     def __init__(
         self,
@@ -60,6 +64,11 @@ class CostContext:
         w_intra: float = DEFAULT_W_INTRA,
         w_inter: float = DEFAULT_W_INTER,
     ):
+        if not (math.isfinite(w_inter) and 0 <= w_intra <= w_inter):
+            raise AllocationError(
+                f"span weights need 0 <= w_intra <= w_inter, both finite; "
+                f"got w_intra={w_intra}, w_inter={w_inter}"
+            )
         self.topo = topo
         self.w_intra = w_intra
         self.w_inter = w_inter
@@ -85,19 +94,26 @@ class CostContext:
             out.append(self.topo.flat(dev))
         return out
 
-    def module_costs(self, task_dev: Sequence[int]) -> list[float]:
-        """Full recomputation: per module, params * (w_intra*(|devices|-1)
-        + (w_inter-w_intra)*(|nodes|-1)) over the devices of its tasks."""
+    def hosts(self, task_dev: Sequence[int]) -> list[set[int]]:
+        """Per module, the set of devices hosting at least one of its tasks."""
         devs: list[set[int]] = [set() for _ in self.module_keys]
         for t, mods in enumerate(self.task_modules):
             for m in mods:
                 devs[m].add(task_dev[t])
+        return devs
+
+    def node_count(self, devs: set[int]) -> int:
+        return len({self.dev_node[d] for d in devs})
+
+    def module_costs(self, task_dev: Sequence[int]) -> list[float]:
+        """Full recomputation: per module, params * (w_intra*(|devices|-1)
+        + (w_inter-w_intra)*(|nodes|-1)) over the devices of its tasks."""
         out = []
-        for p, ds in zip(self.params, devs):
+        for p, ds in zip(self.params, self.hosts(task_dev)):
             if not ds:
                 out.append(0.0)
                 continue
-            n_node = len({self.dev_node[d] for d in ds})
+            n_node = self.node_count(ds)
             out.append(
                 p * (self.w_intra * (len(ds) - 1) + (self.w_inter - self.w_intra) * (n_node - 1))
             )
@@ -170,31 +186,6 @@ def comm_cost(
     ctx = CostContext(tasks, modules, topo, w_intra, w_inter)
     per_module = ctx.module_costs(ctx.placement_list(a.placement))
     return CommCost(sum(per_module), dict(zip(ctx.module_keys, per_module)))
-
-
-def validate_assignment(
-    a: Assignment, tasks: Sequence[TaskSpec], topo: ClusterTopology
-) -> list[str]:
-    violations = []
-    per_device: dict[DeviceId, list[TaskSpec]] = {}
-    for task in sorted(tasks, key=lambda t: t.id):
-        dev = a.placement.get(task.id)
-        if dev is None:
-            violations.append(f"task {task.id} not placed")
-            continue
-        if not topo.contains(dev):
-            violations.append(f"task {task.id} placed on {dev}, outside topology")
-            continue
-        per_device.setdefault(dev, []).append(task)
-    for dev in sorted(per_device):
-        hosted = per_device[dev]
-        if len(hosted) > topo.n_slots_per_gpu:
-            violations.append(
-                f"device {dev} over capacity: {len(hosted)} > {topo.n_slots_per_gpu}"
-            )
-        if not any(t.introduce_at_training_step == 0 for t in hosted):
-            violations.append(f"device {dev} has no task active from step 0")
-    return violations
 
 
 def _signature(task: TaskSpec) -> tuple:
@@ -324,7 +315,7 @@ def local_search(
         return count0[d1] + delta > 0 and count0[d2] - delta > 0
 
     # an accepted move must beat the rounding noise of its few summed terms
-    tol = 1e-12 * max(1.0, max(ctx.params, default=0.0) * max(abs(w_intra), abs(w_inter)))
+    tol = 1e-12 * max(1.0, max(ctx.params, default=0.0) * w_inter)
     n_reloc = n_tasks * n_dev
     n_moves = n_reloc + n_tasks * (n_tasks - 1) // 2
     rng = random.Random(seed)

@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="full configuration YAML file")
     p.add_argument("-o", "--output", help="write re-allocated configuration here")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=allocator.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_count(0), default=allocator.DEFAULT_BUDGET)
     p.add_argument("--w-intra", type=float, default=allocator.DEFAULT_W_INTRA)
     p.add_argument("--w-inter", type=float, default=allocator.DEFAULT_W_INTER)
     p.set_defaults(func=_cmd_allocate)

@@ -93,7 +93,7 @@ class MetaConfig:
     def __post_init__(self) -> None:
         if self.n_groups > len(self.languages):
             raise ValueError("n_groups exceeds number of languages")
-        if self.temperature < 1:
+        if not self.temperature >= 1:
             raise ValueError("temperature must be >= 1")
         for spec in self.adapters:
             bound = len(self.arch.stacks(spec.side))
@@ -332,25 +332,55 @@ def emit(cfg: FullConfig) -> str:
 
 def _typed(value, kind, what: str, stage: str = "parse"):
     """`value` if it is an instance of `kind`, else a `ConfigError` of
-    `stage`.  A bool is never accepted where YAML should give a number."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        kinds = kind if isinstance(kind, tuple) else (kind,)
-        expected = " or ".join(k.__name__ for k in kinds)
-        raise ConfigError(stage, f"{what}: expected {expected}, got {value!r}")
-    return value
+    `stage`.  A bool is accepted only where `kind` is bool, never where
+    YAML should give a number; a scalar where a string belongs (YAML reads
+    an unquoted no as False and 2:0 as 120) gets a hint to quote it."""
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    if kind is str and not isinstance(value, (dict, list, type(None))):
+        raise ConfigError(stage, f"{what} {value!r} is not a string; quote it")
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    expected = " or ".join(k.__name__ for k in kinds)
+    raise ConfigError(stage, f"{what}: expected {expected}, got {value!r}")
 
 
-def _get(doc: dict, key: str, kind, where: str = "", default=None):
+def _get(doc: dict, key: str, kind, where: str = "", default=None, stage: str = "parse"):
     """doc[key], or `default` if one is given and the key is absent,
     checked by `_typed`; errors name the field as `where` + `key`."""
     value = doc[key] if default is None else doc.get(key, default)
-    return _typed(value, kind, f"{where}{key}")
+    return _typed(value, kind, f"{where}{key}", stage)
 
 
-def _get_list(doc: dict, key: str, kind, where: str = "", default=None) -> list:
+def _get_list(
+    doc: dict, key: str, kind, where: str = "", default=None, stage: str = "parse"
+) -> list:
     """`_get` for a list whose every item is a `kind`."""
-    items = _get(doc, key, list, where, default)
-    return [_typed(v, kind, f"{where}{key}") for v in items]
+    items = _get(doc, key, list, where, default, stage)
+    return [_typed(v, kind, f"{where}{key} entry", stage) for v in items]
+
+
+_NUMBER = (int, float)
+_TOPOLOGY_KINDS = {
+    "n_nodes": int,
+    "n_gpus_per_node": int,
+    "n_slots_per_gpu": int,
+    "alpha_intra": _NUMBER,
+    "alpha_inter": _NUMBER,
+    "beta_intra": _NUMBER,
+    "beta_inter": _NUMBER,
+}
+
+
+def _topology(doc: dict, stage: str) -> ClusterTopology:
+    """The topology keys present in `doc`, type-checked; absent ones take
+    the defaults of `ClusterTopology`."""
+    return ClusterTopology(
+        **{
+            key: _typed(doc[key], kind, key, stage)
+            for key, kind in _TOPOLOGY_KINDS.items()
+            if key in doc
+        }
+    )
 
 
 def parse(text: str) -> FullConfig:
@@ -362,17 +392,8 @@ def parse(text: str) -> FullConfig:
         raise ConfigError("parse", f"invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("parse", "top level must be a mapping")
-    number = (int, float)
     try:
-        topo = ClusterTopology(
-            n_nodes=_get(doc, "n_nodes", int),
-            n_gpus_per_node=_get(doc, "n_gpus_per_node", int),
-            n_slots_per_gpu=_get(doc, "n_slots_per_gpu", int),
-            alpha_intra=_get(doc, "alpha_intra", number, default=5e-6),
-            alpha_inter=_get(doc, "alpha_inter", number, default=20e-6),
-            beta_intra=_get(doc, "beta_intra", number, default=100e9),
-            beta_inter=_get(doc, "beta_inter", number, default=12.5e9),
-        )
+        topo = _topology(doc, "parse")
         enc_layers = tuple(_get_list(doc, "enc_layers", int))
         dec_layers = tuple(_get_list(doc, "dec_layers", int))
         tasks: dict[str, TaskSpec] = {}
@@ -386,13 +407,7 @@ def parse(text: str) -> FullConfig:
             dec = tuple(ModuleKey(Side.DECODER, i, g) for i, g in enumerate(dec_groups))
             device = None
             if "node_gpu" in entry:
-                if not isinstance(entry["node_gpu"], str):
-                    raise ConfigError(
-                        "parse",
-                        f"{where}node_gpu {entry['node_gpu']!r} is not a string; "
-                        "quote it (YAML reads an unquoted 2:0 as 120)",
-                    )
-                device = DeviceId.parse(entry["node_gpu"])
+                device = DeviceId.parse(_get(entry, "node_gpu", str, where))
             adapters = _get(entry, "adapters", dict, where, default={})
             for name in [*adapters, *adapters.values()]:
                 _typed(name, str, where + "adapters")
@@ -439,14 +454,14 @@ def write_full_config(cfg: FullConfig, path: str) -> None:
 # ---------------------------------------------------------------------------
 # meta-configuration file loading
 
-def _parse_stacks(raw, side_name: str) -> tuple[tuple[SharingPattern, int], ...]:
+def _parse_stacks(doc: dict, key: str) -> tuple[tuple[SharingPattern, int], ...]:
     stacks = []
-    for item in raw:
+    for item in _get_list(doc, key, dict, stage="meta"):
         try:
             pattern = SharingPattern(item["pattern"])
         except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError("meta", f"bad {side_name} sharing stack: {item!r}") from exc
-        stacks.append((pattern, int(item["layers"])))
+            raise ConfigError("meta", f"bad {key} stack: {item!r}") from exc
+        stacks.append((pattern, _get(item, "layers", int, f"{key}: ", stage="meta")))
     return tuple(stacks)
 
 
@@ -458,9 +473,21 @@ def _load_meta_yaml(path: str):
             raise ConfigError("meta", f"invalid YAML in {path}: {exc}") from exc
 
 
+_META_KEYS = frozenset(
+    {
+        "langs", "src_path_template", "tgt_path_template", "corpus_mode",
+        "corpus_root", "enc_sharing", "dec_sharing", *_TOPOLOGY_KINDS,
+        "n_groups", "distance_matrix", "temperature", "autoencoder",
+        "noise_transform", "curriculum", "adapters", "line_counts", "seed",
+        "search_budget", "w_intra", "w_inter",
+    }
+)
+
+
 def load_meta_config(path: str) -> MetaConfig:
     """Read a meta-configuration YAML file.
 
+    Every field is checked for its type, and an unknown key is an error.
     Relative corpus roots, distance matrices and line-count files are
     resolved against the meta file's directory.
     """
@@ -468,21 +495,17 @@ def load_meta_config(path: str) -> MetaConfig:
     doc = _load_meta_yaml(path)
     if not isinstance(doc, dict):
         raise ConfigError("meta", "meta-configuration must be a mapping")
+    unknown = sorted(str(k) for k in doc.keys() - _META_KEYS)
+    if unknown:
+        raise ConfigError("meta", f"unknown keys: {', '.join(unknown)}")
+
+    def get(key: str, kind, default=None):
+        return _get(doc, key, kind, default=default, stage="meta")
 
     def resolve(p: Optional[str]) -> Optional[str]:
         if p is None:
             return None
         return p if os.path.isabs(p) else os.path.join(base, p)
-
-    langs = doc.get("langs")
-    if isinstance(langs, list):
-        for lang in langs:
-            if not isinstance(lang, str):
-                raise ConfigError(
-                    "meta",
-                    f"langs entry {lang!r} is not a string; quote it "
-                    "(YAML reads an unquoted no, yes, on or off as a boolean)",
-                )
 
     line_counts = doc.get("line_counts")
     if isinstance(line_counts, str):
@@ -494,58 +517,42 @@ def load_meta_config(path: str) -> MetaConfig:
         }
 
     try:
-        arch = ArchSpec(
-            _parse_stacks(doc["enc_sharing"], "encoder"),
-            _parse_stacks(doc["dec_sharing"], "decoder"),
-        )
-        topo = ClusterTopology(
-            n_nodes=doc.get("n_nodes", 1),
-            n_gpus_per_node=doc["n_gpus_per_node"],
-            n_slots_per_gpu=doc["n_slots_per_gpu"],
-            alpha_intra=doc.get("alpha_intra", 5e-6),
-            alpha_inter=doc.get("alpha_inter", 20e-6),
-            beta_intra=doc.get("beta_intra", 100e9),
-            beta_inter=doc.get("beta_inter", 12.5e9),
-        )
-        stages = tuple(
-            CurriculumStage(int(s["start_step"]), int(s["below_lines"]))
-            for s in doc.get("curriculum", ())
-        )
-        adapters = tuple(
-            AdapterSpec(
-                name=str(a["name"]),
-                side=Side(a["side"]),
-                positions=tuple(int(p) for p in a.get("positions", ())),
-                pattern=SharingPattern(a["pattern"]),
-            )
-            for a in doc.get("adapters", ())
-        )
         return MetaConfig(
-            languages=tuple(_typed(doc["langs"], list, "langs", "meta")),
-            src_path_template=_typed(
-                doc["src_path_template"], str, "src_path_template", "meta"
+            languages=tuple(_get_list(doc, "langs", str, stage="meta")),
+            src_path_template=get("src_path_template", str),
+            tgt_path_template=get("tgt_path_template", str),
+            corpus_mode=CorpusMode(get("corpus_mode", str, "directional")),
+            arch=ArchSpec(_parse_stacks(doc, "enc_sharing"), _parse_stacks(doc, "dec_sharing")),
+            topology=_topology({"n_nodes": 1, **doc}, "meta"),
+            n_groups=get("n_groups", int, 1),
+            distance_matrix_path=resolve(
+                get("distance_matrix", str) if "distance_matrix" in doc else None
             ),
-            tgt_path_template=_typed(
-                doc["tgt_path_template"], str, "tgt_path_template", "meta"
+            temperature=get("temperature", _NUMBER, 1.0),
+            autoencoder=get("autoencoder", bool, False),
+            noise_transform=get("noise_transform", str, "bart"),
+            curriculum_stages=tuple(
+                CurriculumStage(
+                    _get(c, "start_step", int, "curriculum: ", stage="meta"),
+                    _get(c, "below_lines", int, "curriculum: ", stage="meta"),
+                )
+                for c in _get_list(doc, "curriculum", dict, default=[], stage="meta")
             ),
-            corpus_mode=CorpusMode(doc.get("corpus_mode", "directional")),
-            arch=arch,
-            topology=topo,
-            n_groups=int(doc.get("n_groups", 1)),
-            distance_matrix_path=resolve(doc.get("distance_matrix")),
-            temperature=float(doc.get("temperature", 1.0)),
-            autoencoder=bool(doc.get("autoencoder", False)),
-            noise_transform=str(doc.get("noise_transform", "bart")),
-            curriculum_stages=stages,
-            adapters=adapters,
-            corpus_root=resolve(
-                _typed(doc.get("corpus_root", "."), str, "corpus_root", "meta")
+            adapters=tuple(
+                AdapterSpec(
+                    name=_get(a, "name", str, "adapters: ", stage="meta"),
+                    side=Side(_get(a, "side", str, "adapters: ", stage="meta")),
+                    positions=tuple(_get_list(a, "positions", int, "adapters: ", [], "meta")),
+                    pattern=SharingPattern(_get(a, "pattern", str, "adapters: ", stage="meta")),
+                )
+                for a in _get_list(doc, "adapters", dict, default=[], stage="meta")
             ),
+            corpus_root=resolve(get("corpus_root", str, ".")),
             line_counts=line_counts,
-            seed=int(doc.get("seed", 0)),
-            search_budget=int(doc.get("search_budget", allocator.DEFAULT_BUDGET)),
-            w_intra=float(doc.get("w_intra", allocator.DEFAULT_W_INTRA)),
-            w_inter=float(doc.get("w_inter", allocator.DEFAULT_W_INTER)),
+            seed=get("seed", int, 0),
+            search_budget=get("search_budget", int, allocator.DEFAULT_BUDGET),
+            w_intra=get("w_intra", _NUMBER, allocator.DEFAULT_W_INTRA),
+            w_inter=get("w_inter", _NUMBER, allocator.DEFAULT_W_INTER),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):

@@ -138,10 +138,6 @@ class TaskSpec:
     adapters: tuple[tuple[str, str], ...] = ()
     device: Optional[DeviceId] = None
 
-    @property
-    def is_denoising(self) -> bool:
-        return self.src_lang == self.tgt_lang
-
     def with_device(self, device: DeviceId) -> "TaskSpec":
         return replace(self, device=device)
 

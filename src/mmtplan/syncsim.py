@@ -22,6 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .allocator import CostContext
 from .core import ClusterTopology, ModuleKey, TaskSpec
 from .sharing import enumerate_modules
 
@@ -106,11 +107,6 @@ class DeviceState:
             self.buffers = {
                 k: np.zeros((self.dim, self.dim)) for k in sorted(self.hosted)
             }
-
-    def reset(self) -> None:
-        for buf in self.buffers.values():
-            buf[:] = 0.0
-        self.used.clear()
 
     def accumulate(self, grads: Mapping[ModuleKey, np.ndarray]) -> None:
         for key, g in grads.items():
@@ -320,18 +316,13 @@ def run_benchmark(
             raise SimulationError(f"task {t.id} must use at least one module")
 
     modules = enumerate_modules(tasks)
-    keys = sorted(modules)
-    module_id = {key: m for m, key in enumerate(keys)}
-    task_modules = {t.id: frozenset(module_id[k] for k in t.modules()) for t in tasks}
-    chain_layers = {t.id: sum(t.enc_layers) + sum(t.dec_layers) for t in tasks}
-
+    ctx = CostContext(tasks, modules, topo)
+    task_dev = ctx.placement_list({t.id: t.device for t in tasks})
+    task_index = {task.id: t for t, task in enumerate(ctx.tasks)}
+    chain_layers = [sum(t.enc_layers) + sum(t.dec_layers) for t in ctx.tasks]
     by_device: dict[int, list[TaskSpec]] = {}
-    hosts: list[set[int]] = [set() for _ in keys]
-    for t in tasks:
-        i = topo.flat(t.device)
-        by_device.setdefault(i, []).append(t)
-        for m in task_modules[t.id]:
-            hosts[m].add(i)
+    for task, i in zip(ctx.tasks, task_dev):
+        by_device.setdefault(i, []).append(task)
     dev_indices = sorted(by_device)
 
     # Modules hosted on 2+ devices, in sorted-key order so that comm_time
@@ -339,14 +330,14 @@ def run_benchmark(
     # time, gradient time).  Single-device modules never communicate.
     shared: list[tuple[int, int, float, float]] = []
     ready_bytes = 0
-    for m, key in enumerate(keys):
-        g = len(hosts[m])
+    for m, devs in enumerate(ctx.hosts(task_dev)):
+        g = len(devs)
         if g < 2:
             continue
-        spans_nodes = len({i // topo.n_gpus_per_node for i in hosts[m]}) > 1
+        spans_nodes = ctx.node_count(devs) > 1
         alpha = topo.alpha_inter if spans_nodes else topo.alpha_intra
         beta = topo.beta_inter if spans_nodes else topo.beta_intra
-        payload = GRAD_BYTES_PER_PARAM * modules[key].n_params
+        payload = GRAD_BYTES_PER_PARAM * modules[ctx.module_keys[m]].n_params
         ready_bytes += READY_ENTRY_BYTES * g
         ready_time = ring_allreduce_time(READY_ENTRY_BYTES, g, alpha, beta)
         grad_time = ring_allreduce_time(payload, g, alpha, beta)
@@ -361,9 +352,9 @@ def run_benchmark(
         for i in dev_indices:
             compute = 0.0
             for _ in range(accum_count):
-                task = multiplex(by_device[i], step, mux_rngs[i])
-                used |= task_modules[task.id]
-                compute += compute_coeff * batch_tokens * chain_layers[task.id]
+                t = task_index[multiplex(by_device[i], step, mux_rngs[i]).id]
+                used.update(ctx.task_modules[t])
+                compute += compute_coeff * batch_tokens * chain_layers[t]
             compute_per_device.append(compute)
 
         grad_bytes = 0

@@ -13,7 +13,6 @@ from mmtplan.allocator import (
     comm_cost,
     initial_assignment,
     local_search,
-    validate_assignment,
 )
 from mmtplan.configgen import assign_transforms, emit, generate, parse
 from mmtplan.core import ClusterTopology, ModuleKey, Side, validate_config
@@ -34,7 +33,7 @@ from mmtplan.syncsim import (
 )
 
 from conftest import make_task
-from test_allocator import feasible_placements, random_instance
+from test_allocator import feasible_placements, placed, random_instance
 from test_configgen import all_files_exist, meta_for
 from test_syncsim import run_scenario
 
@@ -182,7 +181,7 @@ def test_07_allocator_optimality_small_scale():
             result = local_search(a0, tasks, modules, topo, seed=seed)
             final = comm_cost(result, tasks, modules, topo).total
             assert final <= initial
-            assert validate_assignment(result, tasks, topo) == []
+            assert validate_config(placed(result, tasks), topo) == []
             assert final == pytest.approx(best)
 
 

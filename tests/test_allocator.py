@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -13,9 +14,8 @@ from mmtplan.allocator import (
     comm_cost,
     initial_assignment,
     local_search,
-    validate_assignment,
 )
-from mmtplan.core import ClusterTopology, DeviceId, ModuleKey, Side
+from mmtplan.core import ClusterTopology, DeviceId, ModuleKey, Side, validate_config
 from mmtplan.sharing import enumerate_modules
 
 from conftest import make_task
@@ -50,19 +50,16 @@ def random_instance(seed, n_tasks, topo, n_groups=3, allow_delayed=True):
     return tasks
 
 
+def placed(a, tasks):
+    """The tasks with the devices of assignment `a`, for `validate_config`."""
+    return [t.with_device(a.placement[t.id]) for t in tasks]
+
+
 def feasible_placements(tasks, topo):
-    devices = topo.devices()
-    for combo in itertools.product(devices, repeat=len(tasks)):
-        counts = {}
-        for dev in combo:
-            counts[dev] = counts.get(dev, 0) + 1
-        if any(c > topo.n_slots_per_gpu for c in counts.values()):
-            continue
-        placement = {t.id: d for t, d in zip(tasks, combo)}
-        a = Assignment(placement)
-        if validate_assignment(a, tasks, topo):
-            continue
-        yield a
+    for combo in itertools.product(topo.devices(), repeat=len(tasks)):
+        a = Assignment({t.id: d for t, d in zip(tasks, combo)})
+        if validate_config(placed(a, tasks), topo) == []:
+            yield a
 
 
 class TestCommCost:
@@ -72,6 +69,16 @@ class TestCommCost:
         a = Assignment({t.id: DeviceId(0, 0)})
         cost = comm_cost(a, [t], enumerate_modules([t], 100), topo)
         assert cost.total == 0.0
+
+    @pytest.mark.parametrize(
+        "w_intra, w_inter", [(3.0, 1.0), (1.0, -5.0), (-1.0, 4.0), (1.0, math.inf), (math.nan, 4.0)]
+    )
+    def test_rejects_bad_span_weights(self, w_intra, w_inter):
+        topo = ClusterTopology(1, 1, 1)
+        t = make_task("aa", "bb", ["x"], ["y"])
+        a = Assignment({t.id: DeviceId(0, 0)})
+        with pytest.raises(AllocationError, match="w_intra <= w_inter"):
+            comm_cost(a, [t], enumerate_modules([t]), topo, w_intra, w_inter)
 
     def test_independent_tasks_cost_zero(self):
         topo = ClusterTopology(1, 4, 1)
@@ -205,7 +212,7 @@ class TestInitialAssignment:
             make_task("dd", "zz", ["y"], ["y"], intro=5000),
         ]
         a = initial_assignment(tasks, topo)
-        assert validate_assignment(a, tasks, topo) == []
+        assert validate_config(placed(a, tasks), topo) == []
 
     def test_deterministic_given_seed(self):
         topo = ClusterTopology(2, 2, 2)
@@ -226,7 +233,7 @@ class TestLocalSearch:
             result = local_search(a0, tasks, modules, topo, seed=seed)
             after = comm_cost(result, tasks, modules, topo).total
             assert after <= before
-            assert validate_assignment(result, tasks, topo) == []
+            assert validate_config(placed(result, tasks), topo) == []
 
     def test_already_optimal_unchanged(self):
         topo = ClusterTopology(1, 2, 1)

@@ -26,9 +26,46 @@ corpus_root: corpus
 seed: 0
 """
 
+# Every key a meta-configuration accepts, so that the fuzzer mutates each.
+META_YAML_ALL_KEYS = """\
+langs: [bg, de, en]
+src_path_template: "{lang_pair}/train.{src_lang}"
+tgt_path_template: "{lang_pair}/train.{tgt_lang}"
+corpus_mode: directional
+corpus_root: corpus
+enc_sharing:
+  - {pattern: LANGUAGE, layers: 2}
+  - {pattern: GROUP, layers: 4}
+dec_sharing:
+  - {pattern: LANGUAGE, layers: 4}
+n_nodes: 1
+n_gpus_per_node: 2
+n_slots_per_gpu: 4
+alpha_intra: 5.0e-06
+alpha_inter: 2.0e-05
+beta_intra: 1.0e+11
+beta_inter: 1.25e+10
+n_groups: 2
+distance_matrix: distances.txt
+temperature: 2.0
+autoencoder: false
+noise_transform: bart
+curriculum:
+  - {start_step: 100, below_lines: 2}
+adapters:
+  - {name: da, side: decoder, positions: [0], pattern: LANGUAGE}
+line_counts: {train_bg-de: 10, train_bg-en: 20, train_de-bg: 10, train_de-en: 1, train_en-bg: 30, train_en-de: 1}
+seed: 0
+search_budget: 100
+w_intra: 1.0
+w_inter: 4.0
+"""
+
 
 def make_workspace(root):
     (root / "meta.yaml").write_text(META_YAML)
+    (root / "meta_all_keys.yaml").write_text(META_YAML_ALL_KEYS)
+    (root / "distances.txt").write_text("bg de en\n0 0.2 0.9\n0.2 0 0.8\n0.9 0.8 0\n")
     corpus = root / "corpus"
     for src in ["bg", "de", "en"]:
         for tgt in ["bg", "de", "en"]:
@@ -95,6 +132,14 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: [meta] ") and "quote" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+    def test_all_keys_meta(self, workspace):
+        out = workspace / "full.yaml"
+        assert main(["generate", str(workspace / "meta_all_keys.yaml"), "-o", str(out)]) == 0
+        cfg = load_full_config(str(out))
+        assert len(cfg.tasks) == 6
+        assert sum(t.introduce_at_training_step == 100 for t in cfg.tasks.values()) == 2
 
 
 class TestValidate:
@@ -170,6 +215,42 @@ class TestBadInput:
         assert main(["validate", str(out)]) == 1
         err = one_error_line(capsys, "parse")
         assert "node_gpu 120" in err and "quote" in err
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("autoencoder: 'false'", "autoencoder"),
+            ("seed: 1.7", "seed"),
+            ("seed: '3'", "seed"),
+            ("search_budget: 2.9", "search_budget"),
+            ("n_groups: 1.5", "n_groups"),
+            ("temperature: '2'", "temperature"),
+            ("temperature: .nan", "temperature"),
+            ("noise_transform: [a]", "noise_transform"),
+            ("n_nodes: 2.5", "n_nodes"),
+            ("alpha_intra: fast", "alpha_intra"),
+            ("w_intra: '1'", "w_intra"),
+            ("dec_sharing: [{pattern: LANGUAGE, layers: 4.5}]", "layers"),
+            ("curriculum: [{start_step: 1.5, below_lines: 2}]", "start_step"),
+            ("adapters: [{name: 7, side: decoder, pattern: LANGUAGE}]", "name 7"),
+            ("adapters: [{name: da, side: decoder, positions: ['0'], pattern: LANGUAGE}]",
+             "positions"),
+            ("serach_budget: 5", "unknown keys: serach_budget"),
+        ],
+    )
+    def test_wrong_typed_meta_value(self, workspace, capsys, line, field):
+        # the line replaces any line (and its indented block) for the same key
+        key = line.partition(":")[0]
+        kept, skipping = [], False
+        for old in META_YAML.splitlines():
+            skipping = old.startswith(f"{key}:") or (skipping and old.startswith(" "))
+            if not skipping:
+                kept.append(old)
+        meta = workspace / "meta.yaml"
+        meta.write_text("\n".join(kept + [line]) + "\n")
+        assert main(["generate", str(meta), "-o", str(workspace / "full.yaml")]) == 1
+        assert field in one_error_line(capsys, "meta")
+        assert not (workspace / "full.yaml").exists()
 
     def test_task_list_instead_of_mapping(self, tmp_path, capsys):
         path = tmp_path / "list.yaml"
@@ -256,6 +337,14 @@ class TestFuzz:
         out = fuzz_workspace / "mutated_out.yaml"
         assert run_cli(["generate", str(path), "-o", str(out)]) in (0, 1, 2)
 
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_meta_all_keys(self, fuzz_workspace, data):
+        path = fuzz_workspace / "mutated_meta.yaml"
+        path.write_text(data.draw(mutated(META_YAML_ALL_KEYS)))
+        out = fuzz_workspace / "mutated_out.yaml"
+        assert run_cli(["generate", str(path), "-o", str(out)]) in (0, 1, 2)
+
 
 class TestAllocate:
     def test_reports_cost_and_never_worsens(self, workspace, capsys):
@@ -283,6 +372,22 @@ class TestAllocate:
         assert captured.err.startswith("error: [validation] task train_bg-de: device ")
         assert captured.err.count("\n") == 1
         assert not result.exists()
+
+
+    @pytest.mark.parametrize(
+        "weights", [["--w-intra", "3", "--w-inter", "1"], ["--w-inter", "-5"]]
+    )
+    def test_bad_span_weights_exit_1(self, workspace, capsys, weights):
+        out = generated(workspace)
+        capsys.readouterr()
+        assert main(["allocate", str(out), *weights]) == 1
+        assert "w_intra <= w_inter" in one_error_line(capsys, "allocation")
+
+    def test_negative_budget_is_usage_error(self, workspace):
+        out = generated(workspace)
+        with pytest.raises(SystemExit) as exc:
+            main(["allocate", str(out), "--budget", "-4"])
+        assert exc.value.code == 2
 
 
 class TestSimulate:

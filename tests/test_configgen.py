@@ -281,6 +281,25 @@ seed: 11
         with pytest.raises(ConfigError, match=r"\[meta\] langs entry False .*quote"):
             load_meta_config(str(tmp_path / "meta.yaml"))
 
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            "n_nodes: 2\nn_gpus_per_node: 3\nn_slots_per_gpu: 4\n",
+            "n_nodes: 1\nn_gpus_per_node: 1\nn_slots_per_gpu: 1\nbeta_inter: 100\n",
+            "n_nodes: 2\nn_gpus_per_node: 3\nn_slots_per_gpu: 4\nalpha_intra: 1.0e-06\n"
+            "alpha_inter: 3.0e-05\nbeta_intra: 5.0e+10\nbeta_inter: 1.0e+10\n",
+        ],
+    )
+    def test_topology_matches_parse(self, tmp_path, keys):
+        # absent alpha/beta keys take the same defaults in both readers
+        (tmp_path / "meta.yaml").write_text(
+            "langs: [bg, en]\nsrc_path_template: x\ntgt_path_template: y\n"
+            "enc_sharing: [{pattern: FULL, layers: 1}]\n"
+            "dec_sharing: [{pattern: FULL, layers: 1}]\n" + keys
+        )
+        full = parse("enc_layers: [1]\ndec_layers: [1]\ntasks: {}\n" + keys)
+        assert load_meta_config(str(tmp_path / "meta.yaml")).topology == full.topology
+
     def test_adapter_position_out_of_bounds(self):
         with pytest.raises(ValueError, match="position out of arch bounds"):
             meta_for(
