@@ -6,12 +6,13 @@ any task must host at least one task active from step 0, so no device
 idles early in training.
 
 The cost of a placement is, per module, its parameter count times a
-weighted span: w_intra per extra device plus (w_inter - w_intra) per
-extra node.  Local search never recomputes that sum: it keeps, per
-module, how many of the module's tasks sit on each device and on each
-node, and scores a move by the change in span of the moving task's
-modules only (the incremental gain update of Kernighan-Lin and
-Fiduccia-Mattheyses).  `CostContext.cost` is the full recomputation,
+weighted span: W_INTRA per extra device plus (W_INTER - W_INTRA) per
+extra node, that is 1 per extra device and 3 more per extra node.  The
+weights are constants, not options.  Local search never recomputes that
+sum: it keeps, per module, how many of the module's tasks sit on each
+device and on each node, and scores a move by the change in span of the
+moving task's modules only (the incremental gain update of Kernighan-Lin
+and Fiduccia-Mattheyses).  `CostContext.cost` is the full recomputation,
 used by `comm_cost` and as the oracle for the incremental scores.
 """
 from __future__ import annotations
@@ -22,9 +23,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import ClusterTopology, DeviceId, ModuleKey, TaskSpec
+from .sharing import ModuleInfo
 
-DEFAULT_W_INTRA = 1.0
-DEFAULT_W_INTER = 4.0
+W_INTRA = 1.0
+W_INTER = 4.0
 DEFAULT_BUDGET = 10000
 
 
@@ -43,38 +45,22 @@ class CommCost:
     per_module: dict[ModuleKey, float]
 
 
-def _param_count(value) -> float:
-    return float(getattr(value, "n_params", value))
-
-
 class CostContext:
     """One task/module structure over integer ids: tasks sorted by id,
     modules sorted by key, devices in `topo.devices()` order.  Placements
     are lists of device indices, one per task.  The simulator numbers
-    modules and finds their hosting devices through this index too.
-
-    Span weights must be finite with 0 <= w_intra <= w_inter, so that an
-    extra node never costs less than an extra device."""
+    modules and finds their hosting devices through this index too."""
 
     def __init__(
         self,
         tasks: Sequence[TaskSpec],
-        modules: Mapping[ModuleKey, object],
+        modules: Mapping[ModuleKey, ModuleInfo],
         topo: ClusterTopology,
-        w_intra: float = DEFAULT_W_INTRA,
-        w_inter: float = DEFAULT_W_INTER,
     ):
-        if not (math.isfinite(w_inter) and 0 <= w_intra <= w_inter):
-            raise AllocationError(
-                f"span weights need 0 <= w_intra <= w_inter, both finite; "
-                f"got w_intra={w_intra}, w_inter={w_inter}"
-            )
         self.topo = topo
-        self.w_intra = w_intra
-        self.w_inter = w_inter
         self.tasks = sorted(tasks, key=lambda t: t.id)
         self.module_keys = sorted(modules)
-        self.params = [_param_count(modules[k]) for k in self.module_keys]
+        self.params = [float(modules[k].n_params) for k in self.module_keys]
         module_id = {k: m for m, k in enumerate(self.module_keys)}
         self.task_modules = [
             [module_id[k] for k in task.modules()] for task in self.tasks
@@ -106,17 +92,15 @@ class CostContext:
         return len({self.dev_node[d] for d in devs})
 
     def module_costs(self, task_dev: Sequence[int]) -> list[float]:
-        """Full recomputation: per module, params * (w_intra*(|devices|-1)
-        + (w_inter-w_intra)*(|nodes|-1)) over the devices of its tasks."""
+        """Full recomputation: per module, params * (W_INTRA*(|devices|-1)
+        + (W_INTER-W_INTRA)*(|nodes|-1)) over the devices of its tasks."""
         out = []
         for p, ds in zip(self.params, self.hosts(task_dev)):
             if not ds:
                 out.append(0.0)
                 continue
             n_node = self.node_count(ds)
-            out.append(
-                p * (self.w_intra * (len(ds) - 1) + (self.w_inter - self.w_intra) * (n_node - 1))
-            )
+            out.append(p * (W_INTRA * (len(ds) - 1) + (W_INTER - W_INTRA) * (n_node - 1)))
         return out
 
     def cost(self, task_dev: Sequence[int]) -> float:
@@ -157,7 +141,7 @@ class SpanCounts:
             if ns != nd:
                 here = on_node[m]
                 node_span += params[m] * ((here[nd] == 0) - (here[ns] == 1))
-        return ctx.w_intra * dev_span + (ctx.w_inter - ctx.w_intra) * node_span
+        return W_INTRA * dev_span + (W_INTER - W_INTRA) * node_span
 
     def move(self, t: int, dst: int) -> None:
         ctx = self.ctx
@@ -176,14 +160,12 @@ class SpanCounts:
 def comm_cost(
     a: Assignment,
     tasks: Sequence[TaskSpec],
-    modules: Mapping[ModuleKey, object],
+    modules: Mapping[ModuleKey, ModuleInfo],
     topo: ClusterTopology,
-    w_intra: float = DEFAULT_W_INTRA,
-    w_inter: float = DEFAULT_W_INTER,
 ) -> CommCost:
     """Synchronization cost of an assignment; total is the sum of the
     non-negative per-module contributions."""
-    ctx = CostContext(tasks, modules, topo, w_intra, w_inter)
+    ctx = CostContext(tasks, modules, topo)
     per_module = ctx.module_costs(ctx.placement_list(a.placement))
     return CommCost(sum(per_module), dict(zip(ctx.module_keys, per_module)))
 
@@ -265,12 +247,10 @@ def initial_assignment(
 def local_search(
     a0: Assignment,
     tasks: Sequence[TaskSpec],
-    modules: Mapping[ModuleKey, object],
+    modules: Mapping[ModuleKey, ModuleInfo],
     topo: ClusterTopology,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    w_intra: float = DEFAULT_W_INTRA,
-    w_inter: float = DEFAULT_W_INTER,
 ) -> Assignment:
     """First-improvement hill climbing over relocations and swaps.
 
@@ -284,7 +264,7 @@ def local_search(
     scored moves; the result never costs more than the input.  Raises
     AllocationError if a task of the input sits outside the topology.
     """
-    ctx = CostContext(tasks, modules, topo, w_intra, w_inter)
+    ctx = CostContext(tasks, modules, topo)
     task_dev = ctx.placement_list(a0.placement)
     n_tasks = len(ctx.tasks)
     n_dev = topo.n_devices
@@ -315,7 +295,7 @@ def local_search(
         return count0[d1] + delta > 0 and count0[d2] - delta > 0
 
     # an accepted move must beat the rounding noise of its few summed terms
-    tol = 1e-12 * max(1.0, max(ctx.params, default=0.0) * w_inter)
+    tol = 1e-12 * max(1.0, max(ctx.params, default=0.0) * W_INTER)
     n_reloc = n_tasks * n_dev
     n_moves = n_reloc + n_tasks * (n_tasks - 1) // 2
     rng = random.Random(seed)

@@ -54,22 +54,11 @@ def _cmd_allocate(args) -> int:
         )
     modules = enumerate_modules(tasks)
     before = allocator.Assignment({t.id: t.device for t in tasks})
-    cost_before = allocator.comm_cost(
-        before, tasks, modules, cfg.topology, args.w_intra, args.w_inter
-    )
+    cost_before = allocator.comm_cost(before, tasks, modules, cfg.topology)
     after = allocator.local_search(
-        before,
-        tasks,
-        modules,
-        cfg.topology,
-        budget=args.budget,
-        seed=args.seed,
-        w_intra=args.w_intra,
-        w_inter=args.w_inter,
+        before, tasks, modules, cfg.topology, budget=args.budget, seed=args.seed
     )
-    cost_after = allocator.comm_cost(
-        after, tasks, modules, cfg.topology, args.w_intra, args.w_inter
-    )
+    cost_after = allocator.comm_cost(after, tasks, modules, cfg.topology)
     print(f"cost before: {cost_before.total:.6g}")
     print(f"cost after:  {cost_after.total:.6g}")
     if args.output:
@@ -141,8 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write re-allocated configuration here")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=_count(0), default=allocator.DEFAULT_BUDGET)
-    p.add_argument("--w-intra", type=float, default=allocator.DEFAULT_W_INTRA)
-    p.add_argument("--w-inter", type=float, default=allocator.DEFAULT_W_INTER)
     p.set_defaults(func=_cmd_allocate)
 
     p = sub.add_parser("simulate", help="run the training simulator")

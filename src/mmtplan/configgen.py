@@ -87,14 +87,14 @@ class MetaConfig:
     line_counts: Optional[Mapping[str, int]] = None
     seed: int = 0
     search_budget: int = allocator.DEFAULT_BUDGET
-    w_intra: float = allocator.DEFAULT_W_INTRA
-    w_inter: float = allocator.DEFAULT_W_INTER
 
     def __post_init__(self) -> None:
         if self.n_groups > len(self.languages):
             raise ValueError("n_groups exceeds number of languages")
         if not self.temperature >= 1:
             raise ValueError("temperature must be >= 1")
+        if self.search_budget < 0:
+            raise ValueError(f"search_budget must be >= 0, got {self.search_budget}")
         for spec in self.adapters:
             bound = len(self.arch.stacks(spec.side))
             if any(p < 0 or p >= bound for p in spec.positions):
@@ -266,8 +266,6 @@ def generate(
             meta.topology,
             budget=meta.search_budget,
             seed=meta.seed,
-            w_intra=meta.w_intra,
-            w_inter=meta.w_inter,
         )
     except (allocator.AllocationError, ValueError) as exc:
         raise ConfigError("allocation", str(exc)) from exc
@@ -479,7 +477,7 @@ _META_KEYS = frozenset(
         "corpus_root", "enc_sharing", "dec_sharing", *_TOPOLOGY_KINDS,
         "n_groups", "distance_matrix", "temperature", "autoencoder",
         "noise_transform", "curriculum", "adapters", "line_counts", "seed",
-        "search_budget", "w_intra", "w_inter",
+        "search_budget",
     }
 )
 
@@ -551,8 +549,6 @@ def load_meta_config(path: str) -> MetaConfig:
             line_counts=line_counts,
             seed=get("seed", int, 0),
             search_budget=get("search_budget", int, allocator.DEFAULT_BUDGET),
-            w_intra=get("w_intra", _NUMBER, allocator.DEFAULT_W_INTRA),
-            w_inter=get("w_inter", _NUMBER, allocator.DEFAULT_W_INTER),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):

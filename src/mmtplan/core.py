@@ -6,6 +6,7 @@ across workers.
 """
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -76,9 +77,9 @@ class DeviceId:
 class ClusterTopology:
     """Nodes x GPUs x slots, with a two-level communication cost model.
 
-    alpha_* are per-message latencies in seconds, beta_* bandwidths in
-    bytes per second.  Inter-node links are assumed no better than
-    intra-node ones.
+    alpha_* are per-message latencies in seconds, finite and >= 0;
+    beta_* are bandwidths in bytes per second, finite and > 0.
+    Inter-node links are assumed no better than intra-node ones.
     """
 
     n_nodes: int
@@ -92,8 +93,13 @@ class ClusterTopology:
     def __post_init__(self) -> None:
         if self.n_nodes < 1 or self.n_gpus_per_node < 1 or self.n_slots_per_gpu < 1:
             raise ValueError("topology counts must be >= 1")
-        if self.beta_intra <= 0 or self.beta_inter <= 0:
-            raise ValueError("bandwidths must be positive")
+        # a chained comparison is false for NaN
+        for name in ("alpha_intra", "alpha_inter", "beta_intra", "beta_inter"):
+            value = getattr(self, name)
+            if name.startswith("alpha") and not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            if name.startswith("beta") and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.alpha_inter < self.alpha_intra:
             raise ValueError("alpha_inter must be >= alpha_intra")
         if self.beta_inter > self.beta_intra:

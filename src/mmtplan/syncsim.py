@@ -23,11 +23,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .allocator import CostContext
-from .core import ClusterTopology, ModuleKey, TaskSpec
-from .sharing import enumerate_modules
+from .core import ClusterTopology, ModuleKey, TaskSpec, task_id
+from .sharing import ArchSpec, SharingPattern, build_module_sequence, enumerate_modules
 
 GRAD_BYTES_PER_PARAM = 4  # float32 on the wire
 READY_ENTRY_BYTES = 4
+COMPUTE_SEC_PER_TOKEN_LAYER = 2e-9
 
 
 class SimulationError(RuntimeError):
@@ -297,7 +298,6 @@ def run_benchmark(
     seed: int = 0,
     accum_count: int = 1,
     batch_tokens: int = 4096,
-    compute_coeff: float = 2e-9,
 ) -> tuple[CommLedger, dict]:
     """Model the communication and compute of optimizer steps over an
     allocated configuration, from the multiplexing trace alone.
@@ -306,7 +306,8 @@ def run_benchmark(
     multiplexer.  Each module hosted on two or more devices all-reduces its
     ready flags, and its gradient too if a drawn task used it; the ring
     allreduce model charges the worst link class its device group spans.
-    Compute time is coeff * tokens * layers on the slowest device.
+    Compute time is COMPUTE_SEC_PER_TOKEN_LAYER * tokens * layers on the
+    slowest device.
     """
     tasks = sorted(tasks, key=lambda t: t.id)
     for t in tasks:
@@ -354,7 +355,7 @@ def run_benchmark(
             for _ in range(accum_count):
                 t = task_index[multiplex(by_device[i], step, mux_rngs[i]).id]
                 used.update(ctx.task_modules[t])
-                compute += compute_coeff * batch_tokens * chain_layers[t]
+                compute += COMPUTE_SEC_PER_TOKEN_LAYER * batch_tokens * chain_layers[t]
             compute_per_device.append(compute)
 
         grad_bytes = 0
@@ -391,18 +392,12 @@ def run_benchmark(
     return ledger, summary
 
 
-SCALING_ARCHS = ("independent", "partially_shared", "fully_shared")
-
-
 def synthetic_uniform_tasks(
     arch_kind: str, n_gpus: int, topo: ClusterTopology
 ) -> list[TaskSpec]:
     """Uniform benchmark workload: one task per GPU, identical load, with
     the sharing scheme selected by `arch_kind`.  Task i works on its own
     synthetic language, so the independent scheme shares nothing."""
-    from .core import task_id
-    from .sharing import ArchSpec, SharingPattern, build_module_sequence
-
     archs = {
         "independent": ArchSpec(
             ((SharingPattern.LANGUAGE, 6),), ((SharingPattern.LANGUAGE, 6),)
@@ -449,7 +444,6 @@ def scaling_experiment(
     n_gpus_per_node: int = 4,
     steps: int = 5,
     seed: int = 0,
-    **benchmark_kwargs,
 ) -> dict[int, float]:
     """Scaling efficiency E(k) = throughput(k) / (k * throughput(1)) for
     the uniform workload, where the task count grows proportionally to the
@@ -461,7 +455,7 @@ def scaling_experiment(
             n_nodes=n_nodes, n_gpus_per_node=n_gpus_per_node, n_slots_per_gpu=1
         )
         tasks = synthetic_uniform_tasks(arch_kind, k, topo)
-        ledger, _ = run_benchmark(tasks, topo, steps=steps, seed=seed, **benchmark_kwargs)
+        ledger, _ = run_benchmark(tasks, topo, steps=steps, seed=seed)
         return ledger.tokens_per_sec
 
     base = throughput(1)

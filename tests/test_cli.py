@@ -57,8 +57,6 @@ adapters:
 line_counts: {train_bg-de: 10, train_bg-en: 20, train_de-bg: 10, train_de-en: 1, train_en-bg: 30, train_en-de: 1}
 seed: 0
 search_budget: 100
-w_intra: 1.0
-w_inter: 4.0
 """
 
 
@@ -230,6 +228,10 @@ class TestBadInput:
             ("n_nodes: 2.5", "n_nodes"),
             ("alpha_intra: fast", "alpha_intra"),
             ("w_intra: '1'", "w_intra"),
+            ("w_intra: 1.0", "unknown keys: w_intra"),
+            ("beta_intra: .nan", "beta_intra"),
+            ("alpha_intra: -1.0", "alpha_intra"),
+            ("search_budget: -5", "search_budget"),
             ("dec_sharing: [{pattern: LANGUAGE, layers: 4.5}]", "layers"),
             ("curriculum: [{start_step: 1.5, below_lines: 2}]", "start_step"),
             ("adapters: [{name: 7, side: decoder, pattern: LANGUAGE}]", "name 7"),
@@ -251,6 +253,15 @@ class TestBadInput:
         assert main(["generate", str(meta), "-o", str(workspace / "full.yaml")]) == 1
         assert field in one_error_line(capsys, "meta")
         assert not (workspace / "full.yaml").exists()
+
+    def test_infinite_bandwidth_in_full_config(self, workspace, capsys):
+        out = generated(workspace)
+        text = out.read_text()
+        assert "beta_inter: 12500000000.0" in text
+        out.write_text(text.replace("beta_inter: 12500000000.0", "beta_inter: .inf"))
+        capsys.readouterr()
+        assert main(["validate", str(out)]) == 1
+        assert "beta_inter must be finite" in one_error_line(capsys, "parse")
 
     def test_task_list_instead_of_mapping(self, tmp_path, capsys):
         path = tmp_path / "list.yaml"
@@ -373,16 +384,6 @@ class TestAllocate:
         assert captured.err.count("\n") == 1
         assert not result.exists()
 
-
-    @pytest.mark.parametrize(
-        "weights", [["--w-intra", "3", "--w-inter", "1"], ["--w-inter", "-5"]]
-    )
-    def test_bad_span_weights_exit_1(self, workspace, capsys, weights):
-        out = generated(workspace)
-        capsys.readouterr()
-        assert main(["allocate", str(out), *weights]) == 1
-        assert "w_intra <= w_inter" in one_error_line(capsys, "allocation")
-
     def test_negative_budget_is_usage_error(self, workspace):
         out = generated(workspace)
         with pytest.raises(SystemExit) as exc:
@@ -435,4 +436,10 @@ class TestUsageErrors:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "x.yaml", "--bogus"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--w-intra", "--w-inter"])
+    def test_span_weights_are_not_options(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["allocate", "x.yaml", flag, "1"])
         assert exc.value.code == 2

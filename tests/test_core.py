@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -60,6 +61,26 @@ class TestClusterTopology:
             ClusterTopology(2, 4, 1, alpha_intra=1e-5, alpha_inter=1e-6)
         with pytest.raises(ValueError):
             ClusterTopology(2, 4, 1, beta_intra=1e9, beta_inter=2e9)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alpha_intra", -1.0),
+            ("alpha_intra", math.nan),
+            ("alpha_inter", math.inf),
+            ("beta_intra", math.nan),
+            ("beta_intra", 0.0),
+            ("beta_inter", -1.0),
+            ("beta_inter", math.inf),
+        ],
+    )
+    def test_rejects_bad_latency_or_bandwidth(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ClusterTopology(2, 4, 1, **{field: value})
+
+    def test_accepts_zero_latency(self):
+        topo = ClusterTopology(2, 4, 1, alpha_intra=0.0, alpha_inter=0.0)
+        assert topo.alpha_inter == 0.0
 
     def test_device_enumeration(self):
         topo = ClusterTopology(2, 2, 1)
