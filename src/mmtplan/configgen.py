@@ -36,6 +36,21 @@ from .sharing import (
 )
 
 
+# libyaml's loader and dumper where PyYAML was built with it; the
+# pure-Python classes, which give the same documents and bytes, elsewhere.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+# Line width for `emit`: no scalar is folded.  The two dumpers fold a long
+# quoted string at different places, so folding would make the bytes
+# depend on which one runs.  (libyaml's width is a C int.)
+_UNFOLDED = 2**31 - 1
+# What loading malformed YAML raises.  Besides YAMLError, PyYAML's
+# constructor raises ValueError for a timestamp that is no date
+# (2001-13-01) or an integer of more than 4300 digits, and libyaml's loader
+# a UnicodeEncodeError (a ValueError) for a str holding a lone surrogate.
+_YAML_ERRORS = (yaml.YAMLError, ValueError)
+
+
 class ConfigError(ValueError):
     """Pipeline failure, tagged with the stage that produced it."""
 
@@ -325,7 +340,13 @@ def emit(cfg: FullConfig) -> str:
         if task.adapters:
             entry["adapters"] = {name: inst for name, inst in task.adapters}
         doc["tasks"][tid] = entry
-    return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
+    return yaml.dump(
+        doc,
+        Dumper=YAML_DUMPER,
+        sort_keys=True,
+        default_flow_style=False,
+        width=_UNFOLDED,
+    )
 
 
 def _typed(value, kind, what: str, stage: str = "parse"):
@@ -381,12 +402,13 @@ def _topology(doc: dict, stage: str) -> ClusterTopology:
     )
 
 
-def parse(text: str) -> FullConfig:
+def parse(text: str | bytes) -> FullConfig:
     """Inverse of emit: parse(emit(cfg)) == cfg.  Every field is checked
-    for its type here, so later stages see only well-typed values."""
+    for its type here, so later stages see only well-typed values.
+    Bytes are decoded as the YAML reader does (UTF-8, or UTF-16 by BOM)."""
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        doc = yaml.load(text, Loader=YAML_LOADER)
+    except _YAML_ERRORS as exc:
         raise ConfigError("parse", f"invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("parse", "top level must be a mapping")
@@ -440,7 +462,7 @@ def parse(text: str) -> FullConfig:
 
 
 def load_full_config(path: str) -> FullConfig:
-    with open(path) as f:
+    with open(path, "rb") as f:
         return parse(f.read())
 
 
@@ -464,10 +486,10 @@ def _parse_stacks(doc: dict, key: str) -> tuple[tuple[SharingPattern, int], ...]
 
 
 def _load_meta_yaml(path: str):
-    with open(path) as f:
+    with open(path, "rb") as f:
         try:
-            return yaml.safe_load(f)
-        except yaml.YAMLError as exc:
+            return yaml.load(f, Loader=YAML_LOADER)
+        except _YAML_ERRORS as exc:
             raise ConfigError("meta", f"invalid YAML in {path}: {exc}") from exc
 
 

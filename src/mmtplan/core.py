@@ -73,6 +73,15 @@ class DeviceId:
         return cls(int(node), int(gpu))
 
 
+def _finite(value: float) -> bool:
+    """math.isfinite, and False for an int too large for a float, which
+    the cost model could not turn into a time."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class ClusterTopology:
     """Nodes x GPUs x slots, with a two-level communication cost model.
@@ -93,12 +102,11 @@ class ClusterTopology:
     def __post_init__(self) -> None:
         if self.n_nodes < 1 or self.n_gpus_per_node < 1 or self.n_slots_per_gpu < 1:
             raise ValueError("topology counts must be >= 1")
-        # a chained comparison is false for NaN
         for name in ("alpha_intra", "alpha_inter", "beta_intra", "beta_inter"):
             value = getattr(self, name)
-            if name.startswith("alpha") and not 0 <= value < math.inf:
+            if name.startswith("alpha") and not (_finite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-            if name.startswith("beta") and not 0 < value < math.inf:
+            if name.startswith("beta") and not (_finite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.alpha_inter < self.alpha_intra:
             raise ValueError("alpha_inter must be >= alpha_intra")

@@ -1,5 +1,7 @@
 import pytest
+import yaml
 
+from mmtplan import configgen
 from mmtplan.core import DeviceId, ModuleKey, Side, TaskSpec, task_id
 
 
@@ -43,3 +45,11 @@ def make_task(
 @pytest.fixture
 def task_factory():
     return make_task
+
+
+@pytest.fixture
+def pure_python_yaml(monkeypatch):
+    """Have `configgen` load and dump YAML with the pure-Python classes,
+    the ones that run where PyYAML has no libyaml."""
+    monkeypatch.setattr(configgen, "YAML_LOADER", yaml.SafeLoader)
+    monkeypatch.setattr(configgen, "YAML_DUMPER", yaml.SafeDumper)

@@ -131,6 +131,14 @@ class TestGenerate:
         assert err.startswith("error: [meta] ") and "quote" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_pure_python_yaml(self, workspace, request):
+        # the classes that run where PyYAML has no libyaml give the same file
+        out = generated(workspace)
+        request.getfixturevalue("pure_python_yaml")
+        pure = workspace / "pure.yaml"
+        assert main(["generate", str(workspace / "meta.yaml"), "-o", str(pure)]) == 0
+        assert pure.read_bytes() == out.read_bytes()
+        assert main(["validate", str(pure)]) == 0
 
     def test_all_keys_meta(self, workspace):
         out = workspace / "full.yaml"
@@ -238,6 +246,11 @@ class TestBadInput:
             ("adapters: [{name: da, side: decoder, positions: ['0'], pattern: LANGUAGE}]",
              "positions"),
             ("serach_budget: 5", "unknown keys: serach_budget"),
+            pytest.param(
+                "alpha_intra: 1" + "0" * 400,
+                "alpha_intra must be finite",
+                id="alpha_intra: 10**400-alpha_intra must be finite",
+            ),
         ],
     )
     def test_wrong_typed_meta_value(self, workspace, capsys, line, field):
@@ -262,6 +275,41 @@ class TestBadInput:
         capsys.readouterr()
         assert main(["validate", str(out)]) == 1
         assert "beta_inter must be finite" in one_error_line(capsys, "parse")
+
+    def test_overflowing_latency_in_full_config(self, workspace, capsys):
+        out = generated(workspace)
+        text = out.read_text()
+        assert "alpha_inter: 2.0e-05" in text
+        out.write_text(text.replace("alpha_inter: 2.0e-05", "alpha_inter: 1" + "0" * 400))
+        capsys.readouterr()
+        assert main(["validate", str(out)]) == 1
+        assert "alpha_inter must be finite" in one_error_line(capsys, "parse")
+
+    @pytest.mark.parametrize("command", ["validate", "allocate", "simulate"])
+    @pytest.mark.parametrize(
+        "line",
+        [b"\xff\xfe: 2\n", b"weight: 2001-13-01\n"],
+        ids=["non-utf8", "bad-timestamp"],
+    )
+    def test_unloadable_full_config(self, workspace, capsys, command, line):
+        out = generated(workspace)
+        out.write_bytes(out.read_bytes() + line)
+        capsys.readouterr()
+        assert main([command, str(out)]) == 1
+        assert "invalid YAML" in one_error_line(capsys, "parse")
+
+    def test_non_utf8_meta(self, workspace, capsys):
+        meta = workspace / "meta.yaml"
+        meta.write_bytes(META_YAML.encode() + b"noise_transform: b\xe4rt\n")
+        assert main(["generate", str(meta)]) == 1
+        assert "invalid YAML" in one_error_line(capsys, "meta")
+
+    def test_non_utf8_line_counts(self, workspace, capsys):
+        meta = workspace / "meta.yaml"
+        meta.write_text(META_YAML + "line_counts: counts.yaml\n")
+        (workspace / "counts.yaml").write_bytes(b"train_bg-de: 10\ntrain_\xff-de: 3\n")
+        assert main(["generate", str(meta)]) == 1
+        assert "counts.yaml" in one_error_line(capsys, "meta")
 
     def test_task_list_instead_of_mapping(self, tmp_path, capsys):
         path = tmp_path / "list.yaml"

@@ -1,9 +1,17 @@
-import pytest
+from dataclasses import replace
+from unittest import mock
 
+import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
+
+from conftest import make_task
+from mmtplan import configgen
 from mmtplan.configgen import (
     AdapterSpec,
     ConfigError,
     CurriculumStage,
+    FullConfig,
     MetaConfig,
     assign_adapters,
     assign_curriculum,
@@ -254,6 +262,182 @@ class TestRoundTrip:
             parse("just a string")
         with pytest.raises(ConfigError):
             parse("tasks: {}")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a: \ud800",  # no UTF-8 encoding: libyaml's loader raises UnicodeEncodeError
+            b"a: \xff\n",  # not UTF-8
+            "a: 2001-13-01",  # a timestamp that is no date
+            "a: " + "1" * 5000,  # more digits than int() converts
+        ],
+        ids=["lone-surrogate", "non-utf8-bytes", "bad-timestamp", "huge-int"],
+    )
+    def test_parse_rejects_unloadable_text(self, text):
+        with pytest.raises(ConfigError, match=r"^\[parse\] invalid YAML") as info:
+            parse(text)
+        assert info.value.stage == "parse"
+
+    def test_emitted_bytes_are_pinned(self):
+        # An adapter, a delayed task, non-default float alpha/beta and a
+        # path YAML must quote: a change of dumper or of its settings that
+        # moves one byte shows here.
+        meta = meta_for(
+            ["bg", "en"],
+            src_path_template="corpus #1/{lang_pair}/train.{src_lang}",
+            topology=ClusterTopology(
+                1, 1, 2, alpha_intra=1e-06, alpha_inter=3e-05, beta_intra=5e10, beta_inter=1.25e10
+            ),
+            adapters=(AdapterSpec("da", Side.DECODER, (0,), SP.LANGUAGE),),
+            line_counts={"train_bg-en": 400, "train_en-bg": 100},
+            curriculum_stages=(CurriculumStage(5000, 200),),
+        )
+        assert emit(generate(meta, all_files_exist)) == PINNED_EMIT
+
+
+PINNED_EMIT = """\
+alpha_inter: 3.0e-05
+alpha_intra: 1.0e-06
+beta_inter: 12500000000.0
+beta_intra: 50000000000.0
+dec_layers:
+- 2
+enc_layers:
+- 2
+n_gpus_per_node: 1
+n_nodes: 1
+n_slots_per_gpu: 2
+tasks:
+  train_bg-en:
+    adapters:
+      da: da:en
+    dec_sharing_groups:
+    - en
+    enc_sharing_groups:
+    - bg
+    introduce_at_training_step: 0
+    node_gpu: 0:0
+    path_src: 'corpus #1/bg-en/train.bg'
+    path_tgt: bg-en/train.en
+    src_tgt: bg-en
+    transforms:
+    - subword
+    - filter
+    weight: 4
+  train_en-bg:
+    adapters:
+      da: da:bg
+    dec_sharing_groups:
+    - bg
+    enc_sharing_groups:
+    - en
+    introduce_at_training_step: 5000
+    node_gpu: 0:0
+    path_src: 'corpus #1/en-bg/train.en'
+    path_tgt: en-bg/train.bg
+    src_tgt: en-bg
+    transforms:
+    - subword
+    - filter
+    weight: 1
+"""
+
+
+@pytest.mark.usefixtures("pure_python_yaml")
+class TestRoundTripPurePython(TestRoundTrip):
+    """The same cases on the classes that run where PyYAML has no libyaml."""
+
+
+# Strings an emitted plan may hold: YAML 1.1 traps (no, 2:0, 1e3, ~, ''),
+# path characters that force quoting, any unicode but lone surrogates
+# (astral, control and line-break characters too), and strings past the
+# 80 columns a dumper folds at by default.
+_TRAPS = [
+    "no", "yes", "on", "null", "~", "", "2:0", "0:1", "1e3", "1_000", "0o17",
+    ".inf", "-1", "a b", "{x}", "a: b", "#c", "a #b", "- x", "-x", "? x",
+    "'q'", '"d"', "|", ">", "*a", "&a", "!t", "%x", "@x", "`x", " lead", "trail ",
+]
+_PIECES = _TRAPS + ["corpus", "/", "é", "Ω", "\U0001d11e", "\t", "\r", "\n", "a" * 30]
+odd_text = st.one_of(
+    st.sampled_from(_TRAPS),
+    st.text(),
+    st.text(min_size=81, max_size=200),
+    st.lists(st.sampled_from(_PIECES), max_size=40).map(" ".join),
+    st.lists(st.sampled_from(_PIECES), max_size=40).map("".join),
+)
+# Mapping keys (task ids, adapter names) are drawn where the two dumpers
+# agree on them: non-empty printable ASCII of at most 122 characters.  One
+# writes a simple key and the other an explicit `? ` key, which read back
+# the same, for an empty key, one holding a carriage return, and one of
+# 123-128 characters (PyYAML counts the implicit `!!str` tag in a key's
+# length, libyaml does not, and libyaml counts UTF-8 bytes).
+lang_code = st.one_of(
+    st.sampled_from(["no", "yes", "on", "null", "0", "1e3", "1_000", "0o17"]),
+    st.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=8),
+    st.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=50, max_size=57),
+)
+adapter_name = st.text(
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1, max_size=122
+)
+
+
+@st.composite
+def full_configs(draw):
+    """Plans as `parse` returns them, with odd strings in every string field."""
+    n_enc, n_dec = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    enc_layers = tuple(draw(st.lists(st.integers(1, 6), min_size=n_enc, max_size=n_enc)))
+    dec_layers = tuple(draw(st.lists(st.integers(1, 6), min_size=n_dec, max_size=n_dec)))
+    topology = ClusterTopology(
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 4)),
+        alpha_intra=draw(st.sampled_from([0, 1e-06, 5e-06, 1.5e-05])),
+        alpha_inter=draw(st.sampled_from([2e-05, 1e-04, 3])),
+        beta_intra=draw(st.sampled_from([100e9, 5e10, 10**11])),
+        beta_inter=draw(st.sampled_from([12.5e9, 1e10, 7])),
+    )
+    pairs = draw(st.lists(st.tuples(lang_code, lang_code), min_size=1, max_size=4, unique=True))
+    tasks = {}
+    for src, tgt in pairs:
+        task = make_task(
+            src,
+            tgt,
+            draw(st.lists(odd_text, min_size=n_enc, max_size=n_enc)),
+            draw(st.lists(odd_text, min_size=n_dec, max_size=n_dec)),
+            enc_layers=enc_layers,
+            dec_layers=dec_layers,
+            weight=draw(st.integers(1, 10**6)),
+            intro=draw(st.integers(0, 10**6)),
+            device=draw(st.tuples(st.integers(0, 99), st.integers(0, 99)) | st.none()),
+            transforms=draw(st.lists(odd_text, max_size=3)),
+        )
+        adapters = draw(st.dictionaries(adapter_name, odd_text, max_size=2))
+        tasks[task.id] = replace(
+            task,
+            src_path=draw(odd_text),
+            tgt_path=draw(odd_text),
+            adapters=tuple(sorted(adapters.items())),
+        )
+    return FullConfig(dict(sorted(tasks.items())), enc_layers, dec_layers, topology)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+class TestYamlPaths:
+    """libyaml's classes and the pure-Python ones, which `configgen` uses
+    where PyYAML has no libyaml, give the same bytes and documents."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=full_configs())
+    def test_libyaml_and_pure_python_agree(self, cfg):
+        with mock.patch.object(configgen, "YAML_DUMPER", yaml.CSafeDumper):
+            text = emit(cfg)
+        with mock.patch.object(configgen, "YAML_DUMPER", yaml.SafeDumper):
+            assert emit(cfg) == text
+        doc = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert doc == yaml.load(text, Loader=yaml.SafeLoader)
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            with mock.patch.object(configgen, "YAML_LOADER", loader):
+                assert parse(text) == cfg
 
 
 class TestLoadMetaConfig:

@@ -72,6 +72,9 @@ class TestClusterTopology:
             ("beta_intra", 0.0),
             ("beta_inter", -1.0),
             ("beta_inter", math.inf),
+            # finite, but too large for a float
+            pytest.param("alpha_inter", 10**400, id="alpha_inter-10**400"),
+            pytest.param("beta_intra", 10**400, id="beta_intra-10**400"),
         ],
     )
     def test_rejects_bad_latency_or_bandwidth(self, field, value):
@@ -81,6 +84,12 @@ class TestClusterTopology:
     def test_accepts_zero_latency(self):
         topo = ClusterTopology(2, 4, 1, alpha_intra=0.0, alpha_inter=0.0)
         assert topo.alpha_inter == 0.0
+
+    def test_keeps_integer_values(self):
+        # not converted to float, so an integer alpha/beta is emitted as written
+        topo = ClusterTopology(2, 4, 1, alpha_intra=0, alpha_inter=1, beta_inter=10**10)
+        values = (topo.alpha_intra, topo.alpha_inter, topo.beta_inter)
+        assert values == (0, 1, 10**10) and all(type(v) is int for v in values)
 
     def test_device_enumeration(self):
         topo = ClusterTopology(2, 2, 1)
