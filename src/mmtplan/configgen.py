@@ -134,7 +134,14 @@ def compute_weights(line_counts: Mapping[str, int], temperature: float) -> dict[
         raise ConfigError("weighting", "line counts must be >= 1")
     weights = {}
     for key in line_counts:
-        ratio = (line_counts[key] / c_min) ** (1.0 / temperature)
+        try:
+            ratio = (line_counts[key] / c_min) ** (1.0 / temperature)
+        except OverflowError:
+            raise ConfigError(
+                "weighting",
+                f"weight of {key} does not fit a float "
+                "(line count or temperature too large)",
+            ) from None
         weights[key] = max(1, int(math.floor(ratio + 0.5)))
     return weights
 
@@ -304,16 +311,26 @@ def generate(
 # ---------------------------------------------------------------------------
 # serialization
 
-def _topology_dict(topo: ClusterTopology) -> dict:
-    return {
-        "n_nodes": topo.n_nodes,
-        "n_gpus_per_node": topo.n_gpus_per_node,
-        "n_slots_per_gpu": topo.n_slots_per_gpu,
-        "alpha_intra": topo.alpha_intra,
-        "alpha_inter": topo.alpha_inter,
-        "beta_intra": topo.beta_intra,
-        "beta_inter": topo.beta_inter,
-    }
+_NUMBER = (int, float)
+# Keys that map straight onto a dataclass field, with the type YAML must
+# give; an absent key takes the field's default.
+_TOPOLOGY_KINDS = {
+    "n_nodes": int,
+    "n_gpus_per_node": int,
+    "n_slots_per_gpu": int,
+    "alpha_intra": _NUMBER,
+    "alpha_inter": _NUMBER,
+    "beta_intra": _NUMBER,
+    "beta_inter": _NUMBER,
+}
+_META_SCALAR_KINDS = {
+    "n_groups": int,
+    "temperature": _NUMBER,
+    "autoencoder": bool,
+    "noise_transform": str,
+    "seed": int,
+    "search_budget": int,
+}
 
 
 def emit(cfg: FullConfig) -> str:
@@ -321,7 +338,7 @@ def emit(cfg: FullConfig) -> str:
     doc = {
         "enc_layers": list(cfg.enc_layers),
         "dec_layers": list(cfg.dec_layers),
-        **_topology_dict(cfg.topology),
+        **{key: getattr(cfg.topology, key) for key in _TOPOLOGY_KINDS},
         "tasks": {},
     }
     for tid, task in sorted(cfg.tasks.items()):
@@ -349,71 +366,64 @@ def emit(cfg: FullConfig) -> str:
     )
 
 
-def _typed(value, kind, what: str, stage: str = "parse"):
-    """`value` if it is an instance of `kind`, else a `ConfigError` of
-    `stage`.  A bool is accepted only where `kind` is bool, never where
-    YAML should give a number; a scalar where a string belongs (YAML reads
-    an unquoted no as False and 2:0 as 120) gets a hint to quote it."""
+class _FieldError(Exception):
+    """A field of the wrong type or shape; `parse` and `load_meta_config`
+    each turn it into a `ConfigError` of their own stage."""
+
+
+_REQUIRED = object()
+
+
+def _load_yaml(data, stage: str, where: str = ""):
+    try:
+        return yaml.load(data, Loader=YAML_LOADER)
+    except _YAML_ERRORS as exc:
+        raise ConfigError(stage, f"invalid YAML{where}: {exc}") from exc
+
+
+def _typed(value, kind, what: str):
+    """`value` if it is an instance of `kind`, else a `_FieldError`.  A
+    bool is accepted only where `kind` is bool, never where YAML should
+    give a number; a scalar where a string belongs (YAML reads an unquoted
+    no as False and 2:0 as 120) gets a hint to quote it."""
     if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
         return value
     if kind is str and not isinstance(value, (dict, list, type(None))):
-        raise ConfigError(stage, f"{what} {value!r} is not a string; quote it")
+        raise _FieldError(f"{what} {value!r} is not a string; quote it")
     kinds = kind if isinstance(kind, tuple) else (kind,)
     expected = " or ".join(k.__name__ for k in kinds)
-    raise ConfigError(stage, f"{what}: expected {expected}, got {value!r}")
+    raise _FieldError(f"{what}: expected {expected}, got {value!r}")
 
 
-def _get(doc: dict, key: str, kind, where: str = "", default=None, stage: str = "parse"):
-    """doc[key], or `default` if one is given and the key is absent,
-    checked by `_typed`; errors name the field as `where` + `key`."""
-    value = doc[key] if default is None else doc.get(key, default)
-    return _typed(value, kind, f"{where}{key}", stage)
+def _get(doc: dict, key: str, kind, where: str = "", default=_REQUIRED):
+    """doc[key] checked by `_typed`, or `default` if one is given and the
+    key is absent (an explicit null is still checked); errors name the
+    field as `where` + `key`."""
+    if default is not _REQUIRED and key not in doc:
+        return default
+    return _typed(doc[key], kind, f"{where}{key}")
 
 
-def _get_list(
-    doc: dict, key: str, kind, where: str = "", default=None, stage: str = "parse"
-) -> list:
+def _get_list(doc: dict, key: str, kind, where: str = "", default=_REQUIRED) -> list:
     """`_get` for a list whose every item is a `kind`."""
-    items = _get(doc, key, list, where, default, stage)
-    return [_typed(v, kind, f"{where}{key} entry", stage) for v in items]
+    items = _get(doc, key, list, where, default)
+    return [_typed(v, kind, f"{where}{key} entry") for v in items]
 
 
-_NUMBER = (int, float)
-_TOPOLOGY_KINDS = {
-    "n_nodes": int,
-    "n_gpus_per_node": int,
-    "n_slots_per_gpu": int,
-    "alpha_intra": _NUMBER,
-    "alpha_inter": _NUMBER,
-    "beta_intra": _NUMBER,
-    "beta_inter": _NUMBER,
-}
-
-
-def _topology(doc: dict, stage: str) -> ClusterTopology:
-    """The topology keys present in `doc`, type-checked; absent ones take
-    the defaults of `ClusterTopology`."""
-    return ClusterTopology(
-        **{
-            key: _typed(doc[key], kind, key, stage)
-            for key, kind in _TOPOLOGY_KINDS.items()
-            if key in doc
-        }
-    )
+def _fields(doc: dict, kinds: Mapping[str, type | tuple]) -> dict:
+    """The keys of `kinds` present in `doc`, each checked by `_typed`."""
+    return {key: _typed(doc[key], kind, key) for key, kind in kinds.items() if key in doc}
 
 
 def parse(text: str | bytes) -> FullConfig:
     """Inverse of emit: parse(emit(cfg)) == cfg.  Every field is checked
     for its type here, so later stages see only well-typed values.
     Bytes are decoded as the YAML reader does (UTF-8, or UTF-16 by BOM)."""
-    try:
-        doc = yaml.load(text, Loader=YAML_LOADER)
-    except _YAML_ERRORS as exc:
-        raise ConfigError("parse", f"invalid YAML: {exc}") from exc
+    doc = _load_yaml(text, "parse")
     if not isinstance(doc, dict):
         raise ConfigError("parse", "top level must be a mapping")
     try:
-        topo = _topology(doc, "parse")
+        topo = ClusterTopology(**_fields(doc, _TOPOLOGY_KINDS))
         enc_layers = tuple(_get_list(doc, "enc_layers", int))
         dec_layers = tuple(_get_list(doc, "dec_layers", int))
         tasks: dict[str, TaskSpec] = {}
@@ -425,9 +435,7 @@ def parse(text: str | bytes) -> FullConfig:
             dec_groups = _get_list(entry, "dec_sharing_groups", str, where)
             enc = tuple(ModuleKey(Side.ENCODER, i, g) for i, g in enumerate(enc_groups))
             dec = tuple(ModuleKey(Side.DECODER, i, g) for i, g in enumerate(dec_groups))
-            device = None
-            if "node_gpu" in entry:
-                device = DeviceId.parse(_get(entry, "node_gpu", str, where))
+            node_gpu = _get(entry, "node_gpu", str, where, default=None)
             adapters = _get(entry, "adapters", dict, where, default={})
             for name in [*adapters, *adapters.values()]:
                 _typed(name, str, where + "adapters")
@@ -447,10 +455,10 @@ def parse(text: str | bytes) -> FullConfig:
                 ),
                 transforms=tuple(_get_list(entry, "transforms", str, where, [])),
                 adapters=tuple(sorted(adapters.items())),
-                device=device,
+                device=None if node_gpu is None else DeviceId.parse(node_gpu),
             )
-    except ConfigError:
-        raise
+    except _FieldError as exc:
+        raise ConfigError("parse", str(exc)) from None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError("parse", f"malformed configuration: {exc!r}") from exc
     return FullConfig(
@@ -476,30 +484,26 @@ def write_full_config(cfg: FullConfig, path: str) -> None:
 
 def _parse_stacks(doc: dict, key: str) -> tuple[tuple[SharingPattern, int], ...]:
     stacks = []
-    for item in _get_list(doc, key, dict, stage="meta"):
+    for item in _get_list(doc, key, dict):
         try:
             pattern = SharingPattern(item["pattern"])
         except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError("meta", f"bad {key} stack: {item!r}") from exc
-        stacks.append((pattern, _get(item, "layers", int, f"{key}: ", stage="meta")))
+            raise _FieldError(f"bad {key} stack: {item!r}") from exc
+        stacks.append((pattern, _get(item, "layers", int, f"{key}: ")))
     return tuple(stacks)
 
 
 def _load_meta_yaml(path: str):
     with open(path, "rb") as f:
-        try:
-            return yaml.load(f, Loader=YAML_LOADER)
-        except _YAML_ERRORS as exc:
-            raise ConfigError("meta", f"invalid YAML in {path}: {exc}") from exc
+        return _load_yaml(f, "meta", f" in {path}")
 
 
 _META_KEYS = frozenset(
     {
         "langs", "src_path_template", "tgt_path_template", "corpus_mode",
-        "corpus_root", "enc_sharing", "dec_sharing", *_TOPOLOGY_KINDS,
-        "n_groups", "distance_matrix", "temperature", "autoencoder",
-        "noise_transform", "curriculum", "adapters", "line_counts", "seed",
-        "search_budget",
+        "corpus_root", "enc_sharing", "dec_sharing", "distance_matrix",
+        "curriculum", "adapters", "line_counts",
+        *_TOPOLOGY_KINDS, *_META_SCALAR_KINDS,
     }
 )
 
@@ -519,9 +523,6 @@ def load_meta_config(path: str) -> MetaConfig:
     if unknown:
         raise ConfigError("meta", f"unknown keys: {', '.join(unknown)}")
 
-    def get(key: str, kind, default=None):
-        return _get(doc, key, kind, default=default, stage="meta")
-
     def resolve(p: Optional[str]) -> Optional[str]:
         if p is None:
             return None
@@ -530,49 +531,42 @@ def load_meta_config(path: str) -> MetaConfig:
     line_counts = doc.get("line_counts")
     if isinstance(line_counts, str):
         line_counts = _load_meta_yaml(resolve(line_counts))
-    if line_counts is not None:
-        line_counts = {
-            _typed(k, str, "line_counts", "meta"): _typed(v, int, "line_counts", "meta")
-            for k, v in _typed(line_counts, dict, "line_counts", "meta").items()
-        }
-
     try:
+        if line_counts is not None:
+            line_counts = {
+                _typed(k, str, "line_counts"): _typed(v, int, "line_counts")
+                for k, v in _typed(line_counts, dict, "line_counts").items()
+            }
         return MetaConfig(
-            languages=tuple(_get_list(doc, "langs", str, stage="meta")),
-            src_path_template=get("src_path_template", str),
-            tgt_path_template=get("tgt_path_template", str),
-            corpus_mode=CorpusMode(get("corpus_mode", str, "directional")),
+            languages=tuple(_get_list(doc, "langs", str)),
+            src_path_template=_get(doc, "src_path_template", str),
+            tgt_path_template=_get(doc, "tgt_path_template", str),
+            corpus_mode=CorpusMode(_get(doc, "corpus_mode", str, default="directional")),
             arch=ArchSpec(_parse_stacks(doc, "enc_sharing"), _parse_stacks(doc, "dec_sharing")),
-            topology=_topology({"n_nodes": 1, **doc}, "meta"),
-            n_groups=get("n_groups", int, 1),
-            distance_matrix_path=resolve(
-                get("distance_matrix", str) if "distance_matrix" in doc else None
-            ),
-            temperature=get("temperature", _NUMBER, 1.0),
-            autoencoder=get("autoencoder", bool, False),
-            noise_transform=get("noise_transform", str, "bart"),
+            # a meta file may leave out n_nodes: one node
+            topology=ClusterTopology(**{"n_nodes": 1, **_fields(doc, _TOPOLOGY_KINDS)}),
+            **_fields(doc, _META_SCALAR_KINDS),
+            distance_matrix_path=resolve(_get(doc, "distance_matrix", str, default=None)),
             curriculum_stages=tuple(
                 CurriculumStage(
-                    _get(c, "start_step", int, "curriculum: ", stage="meta"),
-                    _get(c, "below_lines", int, "curriculum: ", stage="meta"),
+                    _get(c, "start_step", int, "curriculum: "),
+                    _get(c, "below_lines", int, "curriculum: "),
                 )
-                for c in _get_list(doc, "curriculum", dict, default=[], stage="meta")
+                for c in _get_list(doc, "curriculum", dict, default=[])
             ),
             adapters=tuple(
                 AdapterSpec(
-                    name=_get(a, "name", str, "adapters: ", stage="meta"),
-                    side=Side(_get(a, "side", str, "adapters: ", stage="meta")),
-                    positions=tuple(_get_list(a, "positions", int, "adapters: ", [], "meta")),
-                    pattern=SharingPattern(_get(a, "pattern", str, "adapters: ", stage="meta")),
+                    name=_get(a, "name", str, "adapters: "),
+                    side=Side(_get(a, "side", str, "adapters: ")),
+                    positions=tuple(_get_list(a, "positions", int, "adapters: ", [])),
+                    pattern=SharingPattern(_get(a, "pattern", str, "adapters: ")),
                 )
-                for a in _get_list(doc, "adapters", dict, default=[], stage="meta")
+                for a in _get_list(doc, "adapters", dict, default=[])
             ),
-            corpus_root=resolve(get("corpus_root", str, ".")),
+            corpus_root=resolve(_get(doc, "corpus_root", str, default=".")),
             line_counts=line_counts,
-            seed=get("seed", int, 0),
-            search_budget=get("search_budget", int, allocator.DEFAULT_BUDGET),
         )
+    except _FieldError as exc:
+        raise ConfigError("meta", str(exc)) from None
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError("meta", f"malformed meta-configuration: {exc!r}") from exc

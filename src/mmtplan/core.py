@@ -14,6 +14,16 @@ from enum import Enum
 from typing import Optional
 
 _LANG_RE = re.compile(r"^[a-z0-9_]+$")
+# Task ids and adapter names are the keys of an emitted plan.  libyaml's
+# dumper and PyYAML's pure-Python one lay out a key differently when it is
+# empty, holds a carriage return or is 123-128 characters long (libyaml
+# counts the UTF-8 bytes of a non-ASCII key), so both kinds of key are kept
+# to printable ASCII of 1-122 characters: a task id train_{src}-{tgt} of
+# two 57-character codes has 121.
+MAX_LANG_LEN = 57
+MAX_ADAPTER_NAME_LEN = 122
+# The planner and the simulator build lists over every device.
+MAX_DEVICES = 2**16
 
 
 class Side(str, Enum):
@@ -29,6 +39,8 @@ def check_language(code: str) -> str:
     """
     if not code or not _LANG_RE.match(code):
         raise ValueError(f"invalid language code: {code!r}")
+    if len(code) > MAX_LANG_LEN:
+        raise ValueError(f"language code {code!r} is longer than {MAX_LANG_LEN} characters")
     return code
 
 
@@ -102,6 +114,11 @@ class ClusterTopology:
     def __post_init__(self) -> None:
         if self.n_nodes < 1 or self.n_gpus_per_node < 1 or self.n_slots_per_gpu < 1:
             raise ValueError("topology counts must be >= 1")
+        if self.n_devices > MAX_DEVICES:
+            raise ValueError(
+                f"n_nodes x n_gpus_per_node is {self.n_devices} devices, "
+                f"more than {MAX_DEVICES}"
+            )
         for name in ("alpha_intra", "alpha_inter", "beta_intra", "beta_inter"):
             value = getattr(self, name)
             if name.startswith("alpha") and not (_finite(value) and value >= 0):
@@ -181,13 +198,20 @@ def validate_task(task: TaskSpec) -> list[str]:
         violations.append(f"task {task.id}: weight must be a positive integer")
     if task.introduce_at_training_step < 0:
         violations.append(f"task {task.id}: negative curriculum step")
+    for name, _ in task.adapters:
+        if not (0 < len(name) <= MAX_ADAPTER_NAME_LEN and name.isascii() and name.isprintable()):
+            violations.append(
+                f"task {task.id}: adapter name {name!r} is not 1-{MAX_ADAPTER_NAME_LEN} "
+                "printable ASCII characters"
+            )
     return violations
 
 
 def validate_config(tasks: list[TaskSpec], topo: ClusterTopology) -> list[str]:
     """Validate a full task set against topology bounds, slot limits and
     the curriculum cover (every used device hosts a task active from
-    step 0, so the multiplexer always has a task to draw).
+    step 0, so the multiplexer always has a task to draw) and the
+    multiplexer's weight total (a float).
 
     Returns an empty list iff the configuration is valid.  Violations are
     reported, never raised; the result is independent of task order.
@@ -230,4 +254,8 @@ def validate_config(tasks: list[TaskSpec], topo: ClusterTopology) -> list[str]:
             )
         if not any(t.introduce_at_training_step == 0 for t in hosted):
             violations.append(f"device {dev} has no task active from step 0")
+        if not _finite(sum(t.weight for t in hosted)):
+            violations.append(
+                f"device {dev}: the weights of its tasks sum past what a float holds"
+            )
     return violations

@@ -57,36 +57,23 @@ class PathTemplate:
             )
 
     def render(self, src: str, tgt: str) -> str:
+        """The path for the direction src->tgt.  A symmetric template is
+        rendered against the alphabetically sorted file pair: the pair is
+        "forward" iff src is the first language, and side_a/side_b flip
+        accordingly."""
+        check_language(src)
+        check_language(tgt)
         if self.mode is CorpusMode.DIRECTIONAL:
-            return render_directional(self, src, tgt)
-        return render_symmetric(self, src, tgt)
-
-
-def render_directional(t: PathTemplate, src: str, tgt: str) -> str:
-    if t.mode is not CorpusMode.DIRECTIONAL:
-        raise TemplateError("render_directional requires a directional template")
-    check_language(src)
-    check_language(tgt)
-    return t.template.format(src_lang=src, tgt_lang=tgt, lang_pair=f"{src}-{tgt}")
-
-
-def render_symmetric(t: PathTemplate, src: str, tgt: str) -> str:
-    """Render for the direction src->tgt against an alphabetically-sorted
-    file pair.  The pair is "forward" iff src is the alphabetically first
-    language; side_a/side_b flip accordingly."""
-    if t.mode is not CorpusMode.SYMMETRIC:
-        raise TemplateError("render_symmetric requires a symmetric template")
-    check_language(src)
-    check_language(tgt)
-    lang_a, lang_b = min(src, tgt), max(src, tgt)
-    forward = src == lang_a
-    return t.template.format(
-        lang_a=lang_a,
-        lang_b=lang_b,
-        side_a="src" if forward else "trg",
-        side_b="trg" if forward else "src",
-        sorted_pair=f"{lang_a}-{lang_b}",
-    )
+            return self.template.format(src_lang=src, tgt_lang=tgt, lang_pair=f"{src}-{tgt}")
+        lang_a, lang_b = min(src, tgt), max(src, tgt)
+        forward = src == lang_a
+        return self.template.format(
+            lang_a=lang_a,
+            lang_b=lang_b,
+            side_a="src" if forward else "trg",
+            side_b="trg" if forward else "src",
+            sorted_pair=f"{lang_a}-{lang_b}",
+        )
 
 
 def discover_tasks(

@@ -110,10 +110,7 @@ class ModuleInfo:
     n_params: int
 
 
-def enumerate_modules(
-    tasks: Iterable[TaskSpec],
-    params_per_layer: int = DEFAULT_PARAMS_PER_LAYER,
-) -> dict[ModuleKey, ModuleInfo]:
+def enumerate_modules(tasks: Iterable[TaskSpec]) -> dict[ModuleKey, ModuleInfo]:
     """Union of all tasks' module sequences with layer and parameter counts.
 
     Sharing is exactly name-equality at a (side, position): any two tasks
@@ -133,7 +130,7 @@ def enumerate_modules(
                     f"conflicting layer counts for module {key}: {seen} vs {n_layers}"
                 )
     return {
-        key: ModuleInfo(n_layers, n_layers * params_per_layer)
+        key: ModuleInfo(n_layers, n_layers * DEFAULT_PARAMS_PER_LAYER)
         for key, n_layers in inventory.items()
     }
 

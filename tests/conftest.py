@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 import yaml
 
 from mmtplan import configgen
 from mmtplan.core import DeviceId, ModuleKey, Side, TaskSpec, task_id
+from mmtplan.sharing import enumerate_modules
 
 
 def make_task(
@@ -40,6 +43,15 @@ def make_task(
         transforms=tuple(transforms),
         device=DeviceId(*device) if isinstance(device, tuple) else device,
     )
+
+
+def modules_at(tasks, params_per_layer):
+    """`enumerate_modules` with `params_per_layer` parameters per layer
+    instead of the default, so that costs are small round numbers."""
+    return {
+        key: replace(info, n_params=info.n_layers * params_per_layer)
+        for key, info in enumerate_modules(tasks).items()
+    }
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from mmtplan.allocator import (
 )
 from mmtplan.configgen import assign_transforms, emit, generate, parse
 from mmtplan.core import ClusterTopology, ModuleKey, Side, validate_config
-from mmtplan.pathtmpl import CorpusMode, PathTemplate, render_symmetric
+from mmtplan.pathtmpl import CorpusMode, PathTemplate
 from mmtplan.sharing import (
     ArchSpec,
     SharingPattern,
@@ -32,7 +32,7 @@ from mmtplan.syncsim import (
     synthetic_uniform_tasks,
 )
 
-from conftest import make_task
+from conftest import make_task, modules_at
 from test_allocator import feasible_placements, placed, random_instance
 from test_configgen import all_files_exist, meta_for
 from test_syncsim import run_scenario
@@ -138,8 +138,8 @@ def test_04_sharing_pattern_naming():
 def test_05_path_templating():
     with criterion(5, "symmetric path templating and direction consistency"):
         t = PathTemplate("{sorted_pair}/train.{side_a}.gz", CorpusMode.SYMMETRIC)
-        assert render_symmetric(t, "ben", "eng") == "ben-eng/train.src.gz"
-        assert render_symmetric(t, "eng", "ben") == "ben-eng/train.trg.gz"
+        assert t.render("ben", "eng") == "ben-eng/train.src.gz"
+        assert t.render("eng", "ben") == "ben-eng/train.trg.gz"
 
         src_t = PathTemplate("{sorted_pair}/train.{side_a}.gz", CorpusMode.SYMMETRIC)
         tgt_t = PathTemplate("{sorted_pair}/train.{side_b}.gz", CorpusMode.SYMMETRIC)
@@ -150,7 +150,7 @@ def test_05_path_templating():
             b = "".join(rng.choices(alphabet, k=rng.randint(2, 3)))
             if a == b:
                 continue
-            assert render_symmetric(src_t, a, b) == render_symmetric(tgt_t, b, a)
+            assert src_t.render(a, b) == tgt_t.render(b, a)
 
 
 def test_06_prefix_transform_rule():
@@ -171,7 +171,7 @@ def test_07_allocator_optimality_small_scale():
         for seed in range(20):
             rng = random.Random(seed)
             tasks = random_instance(seed, rng.randint(2, 6), topo)
-            modules = enumerate_modules(tasks, 10)
+            modules = modules_at(tasks, 10)
             best = min(
                 comm_cost(a, tasks, modules, topo).total
                 for a in feasible_placements(tasks, topo)

@@ -18,7 +18,7 @@ from mmtplan.allocator import (
 from mmtplan.core import ClusterTopology, DeviceId, ModuleKey, Side, validate_config
 from mmtplan.sharing import ModuleInfo, enumerate_modules
 
-from conftest import make_task
+from conftest import make_task, modules_at
 
 
 def random_instance(seed, n_tasks, topo, n_groups=3, allow_delayed=True):
@@ -67,7 +67,7 @@ class TestCommCost:
         topo = ClusterTopology(1, 1, 1)
         t = make_task("aa", "bb", ["x"], ["y"], device=(0, 0))
         a = Assignment({t.id: DeviceId(0, 0)})
-        cost = comm_cost(a, [t], enumerate_modules([t], 100), topo)
+        cost = comm_cost(a, [t], modules_at([t], 100), topo)
         assert cost.total == 0.0
 
     def test_independent_tasks_cost_zero(self):
@@ -76,7 +76,7 @@ class TestCommCost:
             make_task(f"s{i}", f"t{i}", [f"s{i}"], [f"t{i}"]) for i in range(4)
         ]
         a = Assignment({t.id: DeviceId(0, i) for i, t in enumerate(tasks)})
-        cost = comm_cost(a, tasks, enumerate_modules(tasks, 100), topo)
+        cost = comm_cost(a, tasks, modules_at(tasks, 100), topo)
         assert cost.total == 0.0
 
     def test_full_module_two_gpus_one_node(self):
@@ -84,7 +84,7 @@ class TestCommCost:
         t1 = make_task("aa", "bb", ["full"], ["d1"])
         t2 = make_task("bb", "aa", ["full"], ["d2"])
         a = Assignment({t1.id: DeviceId(0, 0), t2.id: DeviceId(0, 1)})
-        modules = enumerate_modules([t1, t2], 100)
+        modules = modules_at([t1, t2], 100)
         cost = comm_cost(a, [t1, t2], modules, topo)
         # 100 * (1*(2-1) + (4-1)*(1-1))
         assert cost.total == 100.0
@@ -95,7 +95,7 @@ class TestCommCost:
         t1 = make_task("aa", "bb", ["full"], ["d1"])
         t2 = make_task("bb", "aa", ["full"], ["d2"])
         a = Assignment({t1.id: DeviceId(0, 0), t2.id: DeviceId(1, 0)})
-        modules = enumerate_modules([t1, t2], 100)
+        modules = modules_at([t1, t2], 100)
         # 100 * (1*1 + 3*1) = 400 for the shared encoder
         assert comm_cost(a, [t1, t2], modules, topo).total == 400.0
 
@@ -103,7 +103,7 @@ class TestCommCost:
         topo = ClusterTopology(2, 2, 2)
         tasks = random_instance(11, 6, topo)
         a = initial_assignment(tasks, topo)
-        cost = comm_cost(a, tasks, enumerate_modules(tasks, 10), topo)
+        cost = comm_cost(a, tasks, modules_at(tasks, 10), topo)
         assert cost.total == pytest.approx(sum(cost.per_module.values()))
         assert all(v >= 0 for v in cost.per_module.values())
 
@@ -111,7 +111,7 @@ class TestCommCost:
         # cost depends only on co-location structure
         topo = ClusterTopology(2, 2, 2)
         tasks = random_instance(5, 6, topo, allow_delayed=False)
-        modules = enumerate_modules(tasks, 10)
+        modules = modules_at(tasks, 10)
         a = initial_assignment(tasks, topo)
         base = comm_cost(a, tasks, modules, topo).total
         # swap the gpu labels within each node, then swap the two nodes
@@ -215,7 +215,7 @@ class TestLocalSearch:
         topo = ClusterTopology(2, 2, 2)
         for seed in range(8):
             tasks = random_instance(seed, 7, topo)
-            modules = enumerate_modules(tasks, 10)
+            modules = modules_at(tasks, 10)
             a0 = initial_assignment(tasks, topo, seed=seed)
             before = comm_cost(a0, tasks, modules, topo).total
             result = local_search(a0, tasks, modules, topo, seed=seed)
@@ -229,7 +229,7 @@ class TestLocalSearch:
             make_task("s0", "t0", ["s0"], ["t0"]),
             make_task("s1", "t1", ["s1"], ["t1"]),
         ]
-        modules = enumerate_modules(tasks, 10)
+        modules = modules_at(tasks, 10)
         a0 = Assignment({tasks[0].id: DeviceId(0, 0), tasks[1].id: DeviceId(0, 1)})
         assert local_search(a0, tasks, modules, topo).placement == a0.placement
 
@@ -239,7 +239,7 @@ class TestLocalSearch:
         topo = ClusterTopology(2, 1, 2)
         t1 = make_task("aa", "zz", ["aa"], ["shared"])
         t2 = make_task("bb", "zz", ["bb"], ["shared"])
-        modules = enumerate_modules([t1, t2], 10)
+        modules = modules_at([t1, t2], 10)
         a0 = Assignment({t1.id: DeviceId(0, 0), t2.id: DeviceId(1, 0)})
         before = comm_cost(a0, [t1, t2], modules, topo).total
         result = local_search(a0, [t1, t2], modules, topo)
@@ -252,7 +252,7 @@ class TestLocalSearch:
         topo = ClusterTopology(1, 2, 3)
         for seed in range(10):
             tasks = random_instance(seed + 100, 6, topo)
-            modules = enumerate_modules(tasks, 10)
+            modules = modules_at(tasks, 10)
             best = min(
                 comm_cost(a, tasks, modules, topo).total
                 for a in feasible_placements(tasks, topo)
@@ -264,7 +264,7 @@ class TestLocalSearch:
     def test_budget_zero_is_identity(self):
         topo = ClusterTopology(2, 2, 2)
         tasks = random_instance(2, 6, topo)
-        modules = enumerate_modules(tasks, 10)
+        modules = modules_at(tasks, 10)
         a0 = initial_assignment(tasks, topo)
         assert local_search(a0, tasks, modules, topo, budget=0).placement == a0.placement
 
@@ -272,7 +272,7 @@ class TestLocalSearch:
         topo = ClusterTopology(1, 2, 2)
         t1 = make_task("aa", "zz", ["x"], ["y"])
         t2 = make_task("bb", "zz", ["x"], ["y"])
-        modules = enumerate_modules([t1, t2], 10)
+        modules = modules_at([t1, t2], 10)
         for bad in (DeviceId(0, -1), DeviceId(1, 0)):
             a0 = Assignment({t1.id: DeviceId(0, 0), t2.id: bad})
             with pytest.raises(AllocationError, match=f"{t2.id}.*{bad}"):

@@ -311,6 +311,72 @@ class TestBadInput:
         assert main(["generate", str(meta)]) == 1
         assert "counts.yaml" in one_error_line(capsys, "meta")
 
+    @pytest.mark.parametrize("n_gpus", [2**16 + 1, 100_000_000])
+    def test_too_many_devices_in_meta(self, workspace, capsys, n_gpus):
+        meta = workspace / "meta.yaml"
+        meta.write_text(META_YAML.replace("n_gpus_per_node: 2", f"n_gpus_per_node: {n_gpus}"))
+        assert main(["generate", str(meta)]) == 1
+        assert "devices, more than 65536" in one_error_line(capsys, "meta")
+
+    @pytest.mark.parametrize("command", ["validate", "allocate", "simulate"])
+    def test_too_many_devices_in_full_config(self, workspace, capsys, command):
+        out = generated(workspace)
+        text = out.read_text()
+        assert "n_nodes: 1\n" in text and "n_gpus_per_node: 2\n" in text
+        out.write_text(text.replace("n_nodes: 1\n", "n_nodes: 32769\n"))
+        capsys.readouterr()
+        assert main([command, str(out)]) == 1
+        assert "devices, more than 65536" in one_error_line(capsys, "parse")
+
+    @pytest.mark.parametrize(
+        "line",
+        ["line_counts: {train_bg-de: 1%s}" % ("0" * 400), "temperature: 1" + "0" * 400],
+        ids=["line_counts", "temperature"],
+    )
+    def test_weight_too_large_for_a_float(self, workspace, capsys, line):
+        meta = workspace / "meta.yaml"
+        meta.write_text(META_YAML + line + "\n")
+        assert main(["generate", str(meta)]) == 1
+        assert "train_bg-de does not fit a float" in one_error_line(capsys, "weighting")
+
+    @pytest.mark.parametrize("command", ["validate", "allocate", "simulate"])
+    def test_weight_total_too_large_in_full_config(self, workspace, capsys, command):
+        out = generated(workspace)
+        text = out.read_text()
+        assert "weight: 1\n" in text
+        out.write_text(text.replace("weight: 1\n", "weight: 1%s\n" % ("0" * 400), 1))
+        capsys.readouterr()
+        assert main([command, str(out)]) == 1
+        err = one_error_line(capsys, "validation")
+        assert "sum past what a float holds" in err
+
+    def test_language_code_too_long(self, workspace, capsys):
+        meta = workspace / "meta.yaml"
+        meta.write_text(META_YAML.replace("[bg, de, en]", "[bg, de, en, %s]" % ("a" * 58)))
+        assert main(["generate", str(meta)]) == 1
+        assert "longer than 57 characters" in one_error_line(capsys, "discovery")
+
+    @pytest.mark.parametrize(
+        "name", ["", "a\rb", "x" * 123], ids=["empty", "carriage-return", "123-chars"]
+    )
+    def test_bad_adapter_name_in_full_config(self, workspace, capsys, name):
+        out = generated(workspace)
+        doc = yaml.safe_load(out.read_text())
+        doc["tasks"]["train_bg-de"]["adapters"] = {name: "a:b"}
+        out.write_text(yaml.safe_dump(doc))
+        capsys.readouterr()
+        assert main(["validate", str(out)]) == 1
+        err = one_error_line(capsys, "validation")
+        assert "adapter name" in err and "printable ASCII" in err
+
+    def test_bad_adapter_name_in_meta(self, workspace, capsys):
+        meta = workspace / "meta.yaml"
+        meta.write_text(
+            META_YAML + "adapters: [{name: %s, side: decoder, pattern: LANGUAGE}]\n" % ("x" * 123)
+        )
+        assert main(["generate", str(meta)]) == 1
+        assert "adapter name" in one_error_line(capsys, "validation")
+
     def test_task_list_instead_of_mapping(self, tmp_path, capsys):
         path = tmp_path / "list.yaml"
         path.write_text(

@@ -1,9 +1,12 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from mmtplan.core import (
+    MAX_DEVICES,
+    MAX_LANG_LEN,
     ClusterTopology,
     DeviceId,
     ModuleKey,
@@ -11,6 +14,7 @@ from mmtplan.core import (
     check_language,
     task_id,
     validate_config,
+    validate_task,
 )
 
 from conftest import make_task
@@ -30,6 +34,13 @@ class TestTaskId:
     def test_rejects_bad_codes(self, bad):
         with pytest.raises(ValueError):
             task_id(bad, "en")
+
+    def test_code_length_cap(self):
+        # two codes of the longest length give a task id of 121 characters
+        longest = "a" * MAX_LANG_LEN
+        assert len(task_id(longest, longest)) == 121
+        with pytest.raises(ValueError, match="longer than 57 characters"):
+            task_id("a" * (MAX_LANG_LEN + 1), "en")
 
 
 def test_language_comparison_is_byte_order():
@@ -90,6 +101,16 @@ class TestClusterTopology:
         topo = ClusterTopology(2, 4, 1, alpha_intra=0, alpha_inter=1, beta_inter=10**10)
         values = (topo.alpha_intra, topo.alpha_inter, topo.beta_inter)
         assert values == (0, 1, 10**10) and all(type(v) is int for v in values)
+
+    @pytest.mark.parametrize(
+        "n_nodes, n_gpus", [(1, MAX_DEVICES + 1), (MAX_DEVICES + 1, 1), (257, 256)]
+    )
+    def test_rejects_too_many_devices(self, n_nodes, n_gpus):
+        with pytest.raises(ValueError, match=f"devices, more than {MAX_DEVICES}$"):
+            ClusterTopology(n_nodes, n_gpus, 1)
+
+    def test_accepts_device_count_at_bound(self):
+        assert ClusterTopology(256, 256, 1).n_devices == MAX_DEVICES
 
     def test_device_enumeration(self):
         topo = ClusterTopology(2, 2, 1)
@@ -155,3 +176,29 @@ class TestValidateConfig:
             "device 0:1 has no task active from step 0"
         ]
         assert validate_config([delayed, covered], topo) == []
+
+    def test_weight_total_must_fit_a_float(self):
+        topo = ClusterTopology(1, 2, 2)
+        heavy = make_task("aa", "bb", ["x"], ["y"], weight=10**308, device=(0, 0))
+        other = make_task("bb", "aa", ["x"], ["y"], weight=10**308, device=(0, 0))
+        assert validate_config([heavy], topo) == []
+        assert validate_config([heavy, other], topo) == [
+            "device 0:0: the weights of its tasks sum past what a float holds"
+        ]
+        # the multiplexer sums per device, so another device does not count
+        assert validate_config([heavy, replace(other, device=DeviceId(0, 1))], topo) == []
+
+
+class TestAdapterNames:
+    @pytest.mark.parametrize("name", ["a", " ", "x" * 122, "~!{}:?"])
+    def test_accepts_printable_ascii(self, name):
+        task = replace(make_task("aa", "bb", ["x"], ["y"]), adapters=((name, "a:b"),))
+        assert validate_task(task) == []
+
+    @pytest.mark.parametrize("name", ["", "a\rb", "x" * 123, "caf\u00e9", "a\tb"])
+    def test_rejects_other_names(self, name):
+        task = replace(make_task("aa", "bb", ["x"], ["y"]), adapters=((name, "a:b"),))
+        assert validate_task(task) == [
+            f"task train_aa-bb: adapter name {name!r} is not 1-122 printable "
+            "ASCII characters"
+        ]

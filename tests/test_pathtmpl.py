@@ -6,8 +6,6 @@ from mmtplan.pathtmpl import (
     PathTemplate,
     TemplateError,
     discover_tasks,
-    render_directional,
-    render_symmetric,
 )
 
 langs = st.text(alphabet="abcdefghij", min_size=2, max_size=3)
@@ -16,11 +14,11 @@ langs = st.text(alphabet="abcdefghij", min_size=2, max_size=3)
 class TestDirectional:
     def test_substitution(self):
         t = PathTemplate("{lang_pair}/train.{src_lang}", CorpusMode.DIRECTIONAL)
-        assert render_directional(t, "bg", "en") == "bg-en/train.bg"
+        assert t.render("bg", "en") == "bg-en/train.bg"
 
     def test_all_variables(self):
         t = PathTemplate("{src_lang}-{tgt_lang}.src", CorpusMode.DIRECTIONAL)
-        assert render_directional(t, "sw", "ca") == "sw-ca.src"
+        assert t.render("sw", "ca") == "sw-ca.src"
 
     def test_symmetric_variable_rejected(self):
         with pytest.raises(TemplateError):
@@ -34,21 +32,21 @@ class TestDirectional:
 class TestSymmetric:
     def test_forward_direction(self):
         t = PathTemplate("{sorted_pair}/train.{side_a}.gz", CorpusMode.SYMMETRIC)
-        assert render_symmetric(t, "ben", "eng") == "ben-eng/train.src.gz"
+        assert t.render("ben", "eng") == "ben-eng/train.src.gz"
 
     def test_reverse_direction_flips_side(self):
         # trg, not tgt
         t = PathTemplate("{sorted_pair}/train.{side_a}.gz", CorpusMode.SYMMETRIC)
-        assert render_symmetric(t, "eng", "ben") == "ben-eng/train.trg.gz"
+        assert t.render("eng", "ben") == "ben-eng/train.trg.gz"
 
     def test_side_b_complements(self):
         t = PathTemplate("{side_a}.{side_b}", CorpusMode.SYMMETRIC)
-        assert render_symmetric(t, "ben", "eng") == "src.trg"
-        assert render_symmetric(t, "eng", "ben") == "trg.src"
+        assert t.render("ben", "eng") == "src.trg"
+        assert t.render("eng", "ben") == "trg.src"
 
     def test_self_pair(self):
         t = PathTemplate("{lang_a}-{lang_b}", CorpusMode.SYMMETRIC)
-        assert render_symmetric(t, "en", "en") == "en-en"
+        assert t.render("en", "en") == "en-en"
 
     def test_directional_variable_rejected(self):
         with pytest.raises(TemplateError):
@@ -61,19 +59,19 @@ class TestSymmetric:
         assume(a != b)
         src = PathTemplate("{sorted_pair}/train.{side_a}.gz", CorpusMode.SYMMETRIC)
         tgt = PathTemplate("{sorted_pair}/train.{side_b}.gz", CorpusMode.SYMMETRIC)
-        assert render_symmetric(src, a, b) == render_symmetric(tgt, b, a)
+        assert src.render(a, b) == tgt.render(b, a)
 
     @given(langs, langs)
     def test_sorted_pair_invariant_under_reversal(self, a, b):
         t = PathTemplate("{sorted_pair}", CorpusMode.SYMMETRIC)
-        assert render_symmetric(t, a, b) == render_symmetric(t, b, a)
+        assert t.render(a, b) == t.render(b, a)
 
     @given(langs, langs)
     def test_rendering_is_total(self, a, b):
         t = PathTemplate(
             "{lang_a}/{lang_b}/{side_a}/{side_b}/{sorted_pair}", CorpusMode.SYMMETRIC
         )
-        assert "{" not in render_symmetric(t, a, b)
+        assert "{" not in t.render(a, b)
 
 
 class TestDiscoverTasks:

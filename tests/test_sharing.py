@@ -4,6 +4,7 @@ import pytest
 
 from mmtplan.core import ModuleKey, Side
 from mmtplan.sharing import (
+    DEFAULT_PARAMS_PER_LAYER,
     ArchSpec,
     GroupMapError,
     SharingPattern,
@@ -136,6 +137,6 @@ class TestEnumerateModules:
 
     def test_param_counts_scale_with_layers(self):
         t = make_task("aa", "bb", ["x"], ["y"], enc_layers=(3,), dec_layers=(1,))
-        modules = enumerate_modules([t], params_per_layer=100)
-        assert modules[ModuleKey(ENC, 0, "x")].n_params == 300
-        assert modules[ModuleKey(DEC, 0, "y")].n_params == 100
+        modules = enumerate_modules([t])
+        assert modules[ModuleKey(ENC, 0, "x")].n_params == 3 * DEFAULT_PARAMS_PER_LAYER
+        assert modules[ModuleKey(DEC, 0, "y")].n_params == DEFAULT_PARAMS_PER_LAYER
