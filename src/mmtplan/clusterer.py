@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .core import check_language
 
@@ -35,11 +36,6 @@ class LanguageDistanceMatrix:
                 if v != self.d[j][i]:
                     raise ValueError("distance matrix must be symmetric")
 
-    def dist(self, a: str, b: str) -> float:
-        i = self.languages.index(a)
-        j = self.languages.index(b)
-        return self.d[i][j]
-
 
 def load_distance_matrix(path: str) -> LanguageDistanceMatrix:
     """Read a matrix file: a header row of language codes followed by a
@@ -61,32 +57,25 @@ def cluster_languages(m: LanguageDistanceMatrix, k: int) -> dict[str, str]:
     names group0..group{k-1} follow the ascending order of each cluster's
     smallest member, so the output is independent of input ordering.
     """
-    langs = sorted(m.languages)
-    if not 1 <= k <= len(langs):
-        raise ValueError(f"k={k} out of range for {len(langs)} languages")
+    order = sorted(range(len(m.languages)), key=m.languages.__getitem__)
+    if not 1 <= k <= len(order):
+        raise ValueError(f"k={k} out of range for {len(order)} languages")
 
-    clusters: list[list[str]] = [[lang] for lang in langs]
-    while len(clusters) > k:
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                linkage = max(
-                    m.dist(a, b) for a in clusters[i] for b in clusters[j]
-                )
-                pair = tuple(sorted((clusters[i][0], clusters[j][0])))
-                cand = (linkage, pair, i, j)
-                if best is None or cand[:2] < best[:2]:
-                    best = cand
-        _, _, i, j = best
-        merged = sorted(clusters[i] + clusters[j])
-        clusters = [c for idx, c in enumerate(clusters) if idx not in (i, j)]
-        clusters.append(merged)
-        # keep clusters ordered by smallest member for deterministic scans
-        clusters.sort(key=lambda c: c[0])
+    # Clusters are keyed by the sorted position of their smallest member.
+    # link[a][c] is the complete-linkage distance between clusters a and c;
+    # after a merge it is max(link[a][c], link[b][c]) (Lance-Williams).
+    # Keys are only ever removed, so `members` iterates in ascending order
+    # and combinations() yields each pair as (smaller, larger).
+    link = [[m.d[i][j] for j in order] for i in order]
+    members = {a: [a] for a in range(len(order))}
+    while len(members) > k:
+        _, a, b = min((link[a][b], a, b) for a, b in combinations(members, 2))
+        members[a] += members.pop(b)
+        for c in members:
+            link[a][c] = link[c][a] = max(link[a][c], link[b][c])
 
-    clusters.sort(key=lambda c: c[0])
-    assignment: dict[str, str] = {}
-    for idx, cluster in enumerate(clusters):
-        for lang in cluster:
-            assignment[lang] = f"group{idx}"
-    return assignment
+    return {
+        m.languages[order[i]]: f"group{idx}"
+        for idx, cluster in enumerate(members.values())
+        for i in sorted(cluster)
+    }

@@ -436,6 +436,10 @@ def parse(text: str | bytes) -> FullConfig:
             enc = tuple(ModuleKey(Side.ENCODER, i, g) for i, g in enumerate(enc_groups))
             dec = tuple(ModuleKey(Side.DECODER, i, g) for i, g in enumerate(dec_groups))
             node_gpu = _get(entry, "node_gpu", str, where, default=None)
+            try:
+                device = None if node_gpu is None else DeviceId.parse(node_gpu)
+            except ValueError as exc:
+                raise _FieldError(f"{where}node_gpu: {exc}") from None
             adapters = _get(entry, "adapters", dict, where, default={})
             for name in [*adapters, *adapters.values()]:
                 _typed(name, str, where + "adapters")
@@ -455,7 +459,7 @@ def parse(text: str | bytes) -> FullConfig:
                 ),
                 transforms=tuple(_get_list(entry, "transforms", str, where, [])),
                 adapters=tuple(sorted(adapters.items())),
-                device=None if node_gpu is None else DeviceId.parse(node_gpu),
+                device=device,
             )
     except _FieldError as exc:
         raise ConfigError("parse", str(exc)) from None

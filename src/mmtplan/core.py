@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-_LANG_RE = re.compile(r"^[a-z0-9_]+$")
+_LANG_RE = re.compile(r"[a-z0-9_]+")
+_DEVICE_RE = re.compile(r"(-?[0-9]+):(-?[0-9]+)")
 # Task ids and adapter names are the keys of an emitted plan.  libyaml's
 # dumper and PyYAML's pure-Python one lay out a key differently when it is
 # empty, holds a carriage return or is 123-128 characters long (libyaml
@@ -24,6 +25,11 @@ MAX_LANG_LEN = 57
 MAX_ADAPTER_NAME_LEN = 122
 # The planner and the simulator build lists over every device.
 MAX_DEVICES = 2**16
+# A module holds layers x DEFAULT_PARAMS_PER_LAYER (about 2**22)
+# parameters, and the cost model and the simulator turn that into bytes
+# and times as floats; up to 2**16 layers keeps every module's parameter
+# count and byte payload below 2**53, where a float is still exact.
+MAX_LAYERS = 2**16
 
 
 class Side(str, Enum):
@@ -37,7 +43,7 @@ def check_language(code: str) -> str:
     Codes are short lowercase tokens; comparison throughout the code base
     is plain byte-lexicographic, never locale-dependent.
     """
-    if not code or not _LANG_RE.match(code):
+    if not code or not _LANG_RE.fullmatch(code):
         raise ValueError(f"invalid language code: {code!r}")
     if len(code) > MAX_LANG_LEN:
         raise ValueError(f"language code {code!r} is longer than {MAX_LANG_LEN} characters")
@@ -81,8 +87,12 @@ class DeviceId:
 
     @classmethod
     def parse(cls, text: str) -> "DeviceId":
-        node, _, gpu = text.partition(":")
-        return cls(int(node), int(gpu))
+        """Read `node:gpu`, two ASCII integers.  A negative one is read, so
+        that validate_config reports it as outside the topology."""
+        match = _DEVICE_RE.fullmatch(text)
+        if match is None:
+            raise ValueError(f"device {text!r} is not node:gpu")
+        return cls(int(match[1]), int(match[2]))
 
 
 def _finite(value: float) -> bool:
@@ -192,6 +202,12 @@ def validate_task(task: TaskSpec) -> list[str]:
         violations.append(f"task {task.id}: encoder modules/layer-counts length mismatch")
     if len(task.dec_modules) != len(task.dec_layers):
         violations.append(f"task {task.id}: decoder modules/layer-counts length mismatch")
+    for side, counts in (("encoder", task.enc_layers), ("decoder", task.dec_layers)):
+        for n in counts:
+            if not 1 <= n <= MAX_LAYERS:
+                violations.append(
+                    f"task {task.id}: {side} layer count {n} is not in 1..{MAX_LAYERS}"
+                )
     if not task.enc_modules or not task.dec_modules:
         violations.append(f"task {task.id}: needs at least one module per side")
     if task.weight < 1:

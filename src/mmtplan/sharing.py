@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .core import ModuleKey, Side, TaskSpec
+from .core import MAX_LAYERS, ModuleKey, Side, TaskSpec
 
 # Per-layer parameter count for a d=512, 8-head, ffn=2048 transformer
 # layer: 4 d^2 attention projections + 2 d*ffn feed-forward + norm scales.
@@ -39,8 +39,8 @@ class ArchSpec:
         if not self.enc_stacks or not self.dec_stacks:
             raise ValueError("at least one stack per side")
         for _, n in self.enc_stacks + self.dec_stacks:
-            if n < 1:
-                raise ValueError("layer counts must be >= 1")
+            if not 1 <= n <= MAX_LAYERS:
+                raise ValueError(f"layer count {n} is not in 1..{MAX_LAYERS}")
 
     def stacks(self, side: Side) -> tuple[tuple[SharingPattern, int], ...]:
         return self.enc_stacks if side is Side.ENCODER else self.dec_stacks

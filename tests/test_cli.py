@@ -251,6 +251,13 @@ class TestBadInput:
                 "alpha_intra must be finite",
                 id="alpha_intra: 10**400-alpha_intra must be finite",
             ),
+            pytest.param(
+                "enc_sharing: [{pattern: FULL, layers: 1%s}]" % ("0" * 400),
+                "is not in 1..65536",
+                id="enc_sharing layers: 10**400-is not in 1..65536",
+            ),
+            ("dec_sharing: [{pattern: LANGUAGE, layers: 65537}]",
+             "layer count 65537 is not in 1..65536"),
         ],
     )
     def test_wrong_typed_meta_value(self, workspace, capsys, line, field):
@@ -349,6 +356,43 @@ class TestBadInput:
         assert main([command, str(out)]) == 1
         err = one_error_line(capsys, "validation")
         assert "sum past what a float holds" in err
+
+    @pytest.mark.parametrize("command", ["validate", "allocate", "simulate"])
+    @pytest.mark.parametrize(
+        "count", [-3, 0, 2**16 + 1, 10**400], ids=["-3", "0", "65537", "10**400"]
+    )
+    def test_layer_count_out_of_range_in_full_config(self, workspace, capsys, command, count):
+        out = generated(workspace)
+        doc = yaml.safe_load(out.read_text())
+        doc["enc_layers"][0] = count
+        out.write_text(yaml.safe_dump(doc))
+        capsys.readouterr()
+        assert main([command, str(out)]) == 1
+        err = one_error_line(capsys, "validation")
+        assert f"encoder layer count {count} is not in 1..65536" in err
+
+    def test_newline_in_language_code(self, workspace, capsys):
+        out = generated(workspace)
+        doc = yaml.safe_load(out.read_text())
+        entry = doc["tasks"].pop("train_en-de")
+        doc["tasks"]["train_en\n-de"] = dict(entry, src_tgt="en\n-de")
+        out.write_text(yaml.safe_dump(doc))
+        capsys.readouterr()
+        assert main(["validate", str(out)]) == 1
+        assert "invalid language code: 'en\\n'" in one_error_line(capsys, "validation")
+
+    # int() alone reads the first three as devices 10:0, 1:0 and 1:0
+    @pytest.mark.parametrize("device", [" 1_0:0", "\u0661:\u0660", "+1:0", "1:0:0", "x"])
+    def test_loose_device_id_in_full_config(self, workspace, capsys, device):
+        out = generated(workspace)
+        doc = yaml.safe_load(out.read_text())
+        doc["tasks"]["train_bg-de"]["node_gpu"] = device
+        out.write_text(yaml.safe_dump(doc))
+        capsys.readouterr()
+        assert main(["validate", str(out)]) == 1
+        err = one_error_line(capsys, "parse")
+        assert err.startswith("error: [parse] task train_bg-de: node_gpu: device ")
+        assert err.endswith(" is not node:gpu\n")
 
     def test_language_code_too_long(self, workspace, capsys):
         meta = workspace / "meta.yaml"

@@ -21,6 +21,41 @@ def matrix_from(langs, dist):
     return LanguageDistanceMatrix(tuple(langs), tuple(tuple(r) for r in d))
 
 
+def reference_cluster_languages(m, k):
+    """Complete linkage that rescans every cluster pair and every member
+    pair on each merge, with the same tie-break and group names.  Oracle
+    for `cluster_languages`; also returns the merge heights in order."""
+    langs = sorted(m.languages)
+    if not 1 <= k <= len(langs):
+        raise ValueError(f"k={k} out of range for {len(langs)} languages")
+    index = {lang: i for i, lang in enumerate(m.languages)}
+
+    def dist(a, b):
+        return m.d[index[a]][index[b]]
+
+    clusters = [[lang] for lang in langs]
+    heights = []
+    while len(clusters) > k:
+        best = None
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                linkage = max(dist(a, b) for a in clusters[i] for b in clusters[j])
+                pair = tuple(sorted((clusters[i][0], clusters[j][0])))
+                if best is None or (linkage, pair) < best[:2]:
+                    best = (linkage, pair, i, j)
+        linkage, _, i, j = best
+        heights.append(linkage)
+        merged = sorted(clusters[i] + clusters[j])
+        clusters = [c for idx, c in enumerate(clusters) if idx not in (i, j)]
+        clusters.append(merged)
+        clusters.sort(key=lambda c: c[0])
+
+    assignment = {
+        lang: f"group{idx}" for idx, cluster in enumerate(clusters) for lang in cluster
+    }
+    return assignment, heights
+
+
 def brute_force_best_partition(m, k):
     """Minimal achievable maximum intra-cluster distance over all
     k-partitions (independent oracle for the small-instance example)."""
@@ -33,7 +68,7 @@ def brute_force_best_partition(m, k):
         for i in range(len(langs)):
             for j in range(i + 1, len(langs)):
                 if labels[i] == labels[j]:
-                    worst = max(worst, m.dist(langs[i], langs[j]))
+                    worst = max(worst, m.d[i][j])
         parts = frozenset(
             frozenset(l for l, lab in zip(langs, labels) if lab == c)
             for c in range(k)
@@ -129,24 +164,52 @@ class TestClustering:
         langs = [f"l{i}" for i in range(n)]
         m = LanguageDistanceMatrix(tuple(langs), tuple(tuple(r) for r in sym))
 
-        # replay the merge sequence: complete linkage heights never decrease
-        heights = []
-        clusters = [[l] for l in langs]
-        while len(clusters) > 1:
-            best = None
-            for i in range(len(clusters)):
-                for j in range(i + 1, len(clusters)):
-                    h = max(m.dist(a, b) for a in clusters[i] for b in clusters[j])
-                    pair = tuple(sorted((clusters[i][0], clusters[j][0])))
-                    if best is None or (h, pair) < best[:2]:
-                        best = (h, pair, i, j)
-            h, _, i, j = best
-            heights.append(h)
-            merged = sorted(clusters[i] + clusters[j])
-            clusters = [c for idx, c in enumerate(clusters) if idx not in (i, j)]
-            clusters.append(merged)
-            clusters.sort(key=lambda c: c[0])
+        # complete linkage heights never decrease
+        _, heights = reference_cluster_languages(m, 1)
+        assert len(heights) == n - 1
         assert heights == sorted(heights)
+
+
+class TestAgainstReference:
+    @given(st.integers(0, 10_000), st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_reference_with_ties(self, seed, n):
+        # integer distances 0-3 make most merges a tie on linkage
+        rng = random.Random(seed)
+        langs = [f"l{i:02d}" for i in range(n)]
+        values = {}
+
+        def dist(a, b):
+            return values.setdefault(frozenset({a, b}), rng.randint(0, 3))
+
+        m = matrix_from(langs, dist)
+        rng.shuffle(langs)
+        shuffled = matrix_from(langs, dist)
+        for k in range(1, n + 1):
+            expected, _ = reference_cluster_languages(m, k)
+            assert cluster_languages(m, k) == expected
+            assert cluster_languages(shuffled, k) == expected
+
+    def test_planted_families_with_ties(self):
+        # 60 languages in 6 planted families: distances inside a family are
+        # 1 or 2, across families 3 or 4, so both levels are full of ties
+        rng = random.Random(60)
+        langs = [f"x{i:02d}" for i in range(60)]
+        rng.shuffle(langs)
+        family = {lang: i % 6 for i, lang in enumerate(langs)}
+
+        def dist(a, b):
+            base = 1 if family[a] == family[b] else 3
+            return base + rng.randint(0, 1)
+
+        m = matrix_from(langs, dist)
+        for k in (1, 2, 5, 6, 7, 12, 30, 59, 60):
+            expected, _ = reference_cluster_languages(m, k)
+            assert cluster_languages(m, k) == expected
+        groups = cluster_languages(m, 6)
+        assert {frozenset(l for l in langs if groups[l] == g) for g in set(groups.values())} == {
+            frozenset(l for l in langs if family[l] == f) for f in range(6)
+        }
 
 
 def test_load_distance_matrix(tmp_path):
@@ -154,4 +217,4 @@ def test_load_distance_matrix(tmp_path):
     path.write_text("de en\n0 2.5\n2.5 0\n")
     m = load_distance_matrix(str(path))
     assert m.languages == ("de", "en")
-    assert m.dist("de", "en") == 2.5
+    assert m.d[0][1] == 2.5

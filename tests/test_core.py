@@ -7,6 +7,7 @@ import pytest
 from mmtplan.core import (
     MAX_DEVICES,
     MAX_LANG_LEN,
+    MAX_LAYERS,
     ClusterTopology,
     DeviceId,
     ModuleKey,
@@ -30,7 +31,7 @@ class TestTaskId:
     def test_direct_formatting(self):
         assert task_id("sw", "ca") == "train_sw-ca"
 
-    @pytest.mark.parametrize("bad", ["", "EN", "fr-FR", "zh hans", "a.b"])
+    @pytest.mark.parametrize("bad", ["", "EN", "fr-FR", "zh hans", "a.b", "en\n"])
     def test_rejects_bad_codes(self, bad):
         with pytest.raises(ValueError):
             task_id(bad, "en")
@@ -60,6 +61,22 @@ class TestModuleKey:
 
     def test_side_matters(self):
         assert ModuleKey(Side.ENCODER, 0, "x") != ModuleKey(Side.DECODER, 0, "x")
+
+
+class TestDeviceId:
+    @pytest.mark.parametrize(
+        "text, node, gpu", [("0:0", 0, 0), ("12:3", 12, 3), ("0:-1", 0, -1), ("-2:0", -2, 0)]
+    )
+    def test_reads_ascii_integers(self, text, node, gpu):
+        assert DeviceId.parse(text) == DeviceId(node, gpu)
+
+    # int() alone reads the first three as 10:0, 1:0 and 1:0
+    @pytest.mark.parametrize(
+        "text", [" 1_0:0", "\u0661:\u0660", "+1:0", "1 :0", "0:1\n", "1:0:0", "x", ":", "0:", ""]
+    )
+    def test_rejects_anything_else(self, text):
+        with pytest.raises(ValueError, match="is not node:gpu$"):
+            DeviceId.parse(text)
 
 
 class TestClusterTopology:
@@ -187,6 +204,22 @@ class TestValidateConfig:
         ]
         # the multiplexer sums per device, so another device does not count
         assert validate_config([heavy, replace(other, device=DeviceId(0, 1))], topo) == []
+
+
+class TestLayerCounts:
+    @pytest.mark.parametrize("n", [1, MAX_LAYERS])
+    def test_accepts_counts_in_range(self, n):
+        task = make_task("aa", "bb", ["x"], ["y"], enc_layers=(n,), dec_layers=(n,))
+        assert validate_task(task) == []
+
+    @pytest.mark.parametrize(
+        "n", [-3, 0, MAX_LAYERS + 1, 10**400], ids=["-3", "0", "MAX_LAYERS+1", "10**400"]
+    )
+    def test_rejects_counts_out_of_range(self, n):
+        task = replace(make_task("aa", "bb", ["x"], ["y", "z"]), dec_layers=(1, n))
+        assert validate_task(task) == [
+            f"task train_aa-bb: decoder layer count {n} is not in 1..{MAX_LAYERS}"
+        ]
 
 
 class TestAdapterNames:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from mmtplan.core import ModuleKey, Side
+from mmtplan.core import MAX_LAYERS, ModuleKey, Side
 from mmtplan.sharing import (
     DEFAULT_PARAMS_PER_LAYER,
     ArchSpec,
@@ -90,6 +90,11 @@ class TestBuildModuleSequence:
     def test_rejects_zero_layers(self):
         with pytest.raises(ValueError):
             ArchSpec(((SharingPattern.FULL, 0),), ((SharingPattern.FULL, 1),))
+
+    def test_layer_count_bound(self):
+        ArchSpec(((SharingPattern.FULL, MAX_LAYERS),), ((SharingPattern.FULL, 1),))
+        with pytest.raises(ValueError, match=f"layer count {MAX_LAYERS + 1} is not in 1..{MAX_LAYERS}"):
+            ArchSpec(((SharingPattern.FULL, 1),), ((SharingPattern.FULL, MAX_LAYERS + 1),))
 
 
 class TestEnumerateModules:
