@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Mapping, Optional, Sequence
 
 import yaml
@@ -253,13 +253,8 @@ def generate(
     tasks: dict[str, TaskSpec] = {}
     for src, tgt in pairs:
         tid = ids[(src, tgt)]
-        try:
-            enc, dec, enc_layers, dec_layers = build_module_sequence(
-                meta.arch, src, tgt, groups
-            )
-            adapters = assign_adapters(src, tgt, meta.adapters, groups)
-        except KeyError as exc:
-            raise ConfigError("sharing", str(exc)) from exc
+        enc, dec, enc_layers, dec_layers = build_module_sequence(meta.arch, src, tgt, groups)
+        adapters = assign_adapters(src, tgt, meta.adapters, groups)
         tasks[tid] = TaskSpec(
             id=tid,
             src_lang=src,
@@ -313,7 +308,8 @@ def generate(
 
 _NUMBER = (int, float)
 # Keys that map straight onto a dataclass field, with the type YAML must
-# give; an absent key takes the field's default.
+# give; an absent key takes the field's default, and is an error where
+# the field has none.
 _TOPOLOGY_KINDS = {
     "n_nodes": int,
     "n_gpus_per_node": int,
@@ -366,14 +362,6 @@ def emit(cfg: FullConfig) -> str:
     )
 
 
-class _FieldError(Exception):
-    """A field of the wrong type or shape; `parse` and `load_meta_config`
-    each turn it into a `ConfigError` of their own stage."""
-
-
-_REQUIRED = object()
-
-
 def _load_yaml(data, stage: str, where: str = ""):
     try:
         return yaml.load(data, Loader=YAML_LOADER)
@@ -382,64 +370,95 @@ def _load_yaml(data, stage: str, where: str = ""):
 
 
 def _typed(value, kind, what: str):
-    """`value` if it is an instance of `kind`, else a `_FieldError`.  A
+    """`value` if it is an instance of `kind`, else a `ValueError`.  A
     bool is accepted only where `kind` is bool, never where YAML should
     give a number; a scalar where a string belongs (YAML reads an unquoted
     no as False and 2:0 as 120) gets a hint to quote it."""
     if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
         return value
     if kind is str and not isinstance(value, (dict, list, type(None))):
-        raise _FieldError(f"{what} {value!r} is not a string; quote it")
+        raise ValueError(f"{what} {value!r} is not a string; quote it")
     kinds = kind if isinstance(kind, tuple) else (kind,)
     expected = " or ".join(k.__name__ for k in kinds)
-    raise _FieldError(f"{what}: expected {expected}, got {value!r}")
+    raise ValueError(f"{what}: expected {expected}, got {value!r}")
 
 
-def _get(doc: dict, key: str, kind, where: str = "", default=_REQUIRED):
-    """doc[key] checked by `_typed`, or `default` if one is given and the
-    key is absent (an explicit null is still checked); errors name the
-    field as `where` + `key`."""
-    if default is not _REQUIRED and key not in doc:
+def _get(doc: dict, key: str, kind, where: str = "", default=MISSING, convert=None):
+    """doc[key] checked by `_typed`, then passed through `convert` if one
+    is given.  An absent key gives `default`, and is an error where there
+    is none (MISSING, as dataclasses mark a field without a default); an
+    explicit null is still checked.  Every error, `convert`'s too, names
+    the field as `where` + `key`."""
+    if key not in doc:
+        if default is MISSING:
+            raise ValueError(f"{where}{key}: required key is missing")
         return default
-    return _typed(doc[key], kind, f"{where}{key}")
+    value = _typed(doc[key], kind, f"{where}{key}")
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}{key}: {exc}") from None
 
 
-def _get_list(doc: dict, key: str, kind, where: str = "", default=_REQUIRED) -> list:
+def _get_list(doc: dict, key: str, kind, where: str = "", default=MISSING) -> list:
     """`_get` for a list whose every item is a `kind`."""
     items = _get(doc, key, list, where, default)
     return [_typed(v, kind, f"{where}{key} entry") for v in items]
 
 
-def _fields(doc: dict, kinds: Mapping[str, type | tuple]) -> dict:
-    """The keys of `kinds` present in `doc`, each checked by `_typed`."""
-    return {key: _typed(doc[key], kind, key) for key, kind in kinds.items() if key in doc}
+def _fields(doc: dict, cls, kinds: Mapping[str, type | tuple], **defaults) -> dict:
+    """Keyword arguments of dataclass `cls` for the keys of `kinds`, each
+    read by `_get`.  An absent key takes its value from `defaults`, else
+    the field's default; a field with neither is required."""
+    return {
+        f.name: _get(doc, f.name, kinds[f.name], default=defaults.get(f.name, f.default))
+        for f in fields(cls)
+        if f.name in kinds
+    }
+
+
+def _check_keys(doc: dict, known: frozenset, where: str = "") -> None:
+    unknown = doc.keys() - known
+    if unknown:
+        raise ValueError(f"{where}unknown keys: {', '.join(sorted(map(str, unknown)))}")
+
+
+_PLAN_KEYS = frozenset({"enc_layers", "dec_layers", "tasks", *_TOPOLOGY_KINDS})
+_TASK_KEYS = frozenset(
+    {
+        "src_tgt", "path_src", "path_tgt", "enc_sharing_groups", "dec_sharing_groups",
+        "transforms", "weight", "introduce_at_training_step", "node_gpu", "adapters",
+    }
+)
 
 
 def parse(text: str | bytes) -> FullConfig:
     """Inverse of emit: parse(emit(cfg)) == cfg.  Every field is checked
-    for its type here, so later stages see only well-typed values.
+    for its type here, so later stages see only well-typed values, and an
+    unknown key is an error.  Every task carries the file's layer counts.
     Bytes are decoded as the YAML reader does (UTF-8, or UTF-16 by BOM)."""
     doc = _load_yaml(text, "parse")
     if not isinstance(doc, dict):
         raise ConfigError("parse", "top level must be a mapping")
     try:
-        topo = ClusterTopology(**_fields(doc, _TOPOLOGY_KINDS))
+        _check_keys(doc, _PLAN_KEYS)
+        topo = ClusterTopology(**_fields(doc, ClusterTopology, _TOPOLOGY_KINDS))
         enc_layers = tuple(_get_list(doc, "enc_layers", int))
         dec_layers = tuple(_get_list(doc, "dec_layers", int))
         tasks: dict[str, TaskSpec] = {}
-        for tid, entry in doc["tasks"].items():
+        for tid, entry in _get(doc, "tasks", dict).items():
             where = f"task {_typed(tid, str, 'task id')}: "
             entry = _typed(entry, dict, where + "entry")
-            src, _, tgt = _get(entry, "src_tgt", str, where).partition("-")
+            _check_keys(entry, _TASK_KEYS, where)
+            src, dash, tgt = _get(entry, "src_tgt", str, where).partition("-")
+            if not dash:
+                raise ValueError(f"{where}src_tgt {src!r} is not <src>-<tgt>")
             enc_groups = _get_list(entry, "enc_sharing_groups", str, where)
             dec_groups = _get_list(entry, "dec_sharing_groups", str, where)
             enc = tuple(ModuleKey(Side.ENCODER, i, g) for i, g in enumerate(enc_groups))
             dec = tuple(ModuleKey(Side.DECODER, i, g) for i, g in enumerate(dec_groups))
-            node_gpu = _get(entry, "node_gpu", str, where, default=None)
-            try:
-                device = None if node_gpu is None else DeviceId.parse(node_gpu)
-            except ValueError as exc:
-                raise _FieldError(f"{where}node_gpu: {exc}") from None
             adapters = _get(entry, "adapters", dict, where, default={})
             for name in [*adapters, *adapters.values()]:
                 _typed(name, str, where + "adapters")
@@ -451,20 +470,18 @@ def parse(text: str | bytes) -> FullConfig:
                 tgt_path=_get(entry, "path_tgt", str, where),
                 enc_modules=enc,
                 dec_modules=dec,
-                enc_layers=enc_layers[: len(enc)],
-                dec_layers=dec_layers[: len(dec)],
+                enc_layers=enc_layers,
+                dec_layers=dec_layers,
                 weight=_get(entry, "weight", int, where, default=1),
                 introduce_at_training_step=_get(
                     entry, "introduce_at_training_step", int, where, default=0
                 ),
                 transforms=tuple(_get_list(entry, "transforms", str, where, [])),
                 adapters=tuple(sorted(adapters.items())),
-                device=device,
+                device=_get(entry, "node_gpu", str, where, default=None, convert=DeviceId.parse),
             )
-    except _FieldError as exc:
+    except ValueError as exc:
         raise ConfigError("parse", str(exc)) from None
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("parse", f"malformed configuration: {exc!r}") from exc
     return FullConfig(
         tasks=dict(sorted(tasks.items())),
         enc_layers=enc_layers,
@@ -486,15 +503,22 @@ def write_full_config(cfg: FullConfig, path: str) -> None:
 # ---------------------------------------------------------------------------
 # meta-configuration file loading
 
+def _get_mappings(doc: dict, key: str, known: frozenset, default=MISSING) -> list[dict]:
+    """`_get_list` of mappings, each holding only keys in `known`."""
+    items = _get_list(doc, key, dict, default=default)
+    for item in items:
+        _check_keys(item, known, f"{key}: ")
+    return items
+
+
 def _parse_stacks(doc: dict, key: str) -> tuple[tuple[SharingPattern, int], ...]:
-    stacks = []
-    for item in _get_list(doc, key, dict):
-        try:
-            pattern = SharingPattern(item["pattern"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise _FieldError(f"bad {key} stack: {item!r}") from exc
-        stacks.append((pattern, _get(item, "layers", int, f"{key}: ")))
-    return tuple(stacks)
+    return tuple(
+        (
+            _get(item, "pattern", str, f"{key}: ", convert=SharingPattern),
+            _get(item, "layers", int, f"{key}: "),
+        )
+        for item in _get_mappings(doc, key, _STACK_KEYS)
+    )
 
 
 def _load_meta_yaml(path: str):
@@ -510,6 +534,9 @@ _META_KEYS = frozenset(
         *_TOPOLOGY_KINDS, *_META_SCALAR_KINDS,
     }
 )
+_STACK_KEYS = frozenset({"pattern", "layers"})
+_CURRICULUM_KEYS = frozenset({"start_step", "below_lines"})
+_ADAPTER_KEYS = frozenset({"name", "side", "positions", "pattern"})
 
 
 def load_meta_config(path: str) -> MetaConfig:
@@ -523,9 +550,6 @@ def load_meta_config(path: str) -> MetaConfig:
     doc = _load_meta_yaml(path)
     if not isinstance(doc, dict):
         raise ConfigError("meta", "meta-configuration must be a mapping")
-    unknown = sorted(str(k) for k in doc.keys() - _META_KEYS)
-    if unknown:
-        raise ConfigError("meta", f"unknown keys: {', '.join(unknown)}")
 
     def resolve(p: Optional[str]) -> Optional[str]:
         if p is None:
@@ -536,6 +560,7 @@ def load_meta_config(path: str) -> MetaConfig:
     if isinstance(line_counts, str):
         line_counts = _load_meta_yaml(resolve(line_counts))
     try:
+        _check_keys(doc, _META_KEYS)
         if line_counts is not None:
             line_counts = {
                 _typed(k, str, "line_counts"): _typed(v, int, "line_counts")
@@ -545,32 +570,32 @@ def load_meta_config(path: str) -> MetaConfig:
             languages=tuple(_get_list(doc, "langs", str)),
             src_path_template=_get(doc, "src_path_template", str),
             tgt_path_template=_get(doc, "tgt_path_template", str),
-            corpus_mode=CorpusMode(_get(doc, "corpus_mode", str, default="directional")),
+            corpus_mode=_get(
+                doc, "corpus_mode", str, default=CorpusMode.DIRECTIONAL, convert=CorpusMode
+            ),
             arch=ArchSpec(_parse_stacks(doc, "enc_sharing"), _parse_stacks(doc, "dec_sharing")),
             # a meta file may leave out n_nodes: one node
-            topology=ClusterTopology(**{"n_nodes": 1, **_fields(doc, _TOPOLOGY_KINDS)}),
-            **_fields(doc, _META_SCALAR_KINDS),
+            topology=ClusterTopology(**_fields(doc, ClusterTopology, _TOPOLOGY_KINDS, n_nodes=1)),
+            **_fields(doc, MetaConfig, _META_SCALAR_KINDS),
             distance_matrix_path=resolve(_get(doc, "distance_matrix", str, default=None)),
             curriculum_stages=tuple(
                 CurriculumStage(
                     _get(c, "start_step", int, "curriculum: "),
                     _get(c, "below_lines", int, "curriculum: "),
                 )
-                for c in _get_list(doc, "curriculum", dict, default=[])
+                for c in _get_mappings(doc, "curriculum", _CURRICULUM_KEYS, default=[])
             ),
             adapters=tuple(
                 AdapterSpec(
                     name=_get(a, "name", str, "adapters: "),
-                    side=Side(_get(a, "side", str, "adapters: ")),
+                    side=_get(a, "side", str, "adapters: ", convert=Side),
                     positions=tuple(_get_list(a, "positions", int, "adapters: ", [])),
-                    pattern=SharingPattern(_get(a, "pattern", str, "adapters: ")),
+                    pattern=_get(a, "pattern", str, "adapters: ", convert=SharingPattern),
                 )
-                for a in _get_list(doc, "adapters", dict, default=[])
+                for a in _get_mappings(doc, "adapters", _ADAPTER_KEYS, default=[])
             ),
             corpus_root=resolve(_get(doc, "corpus_root", str, default=".")),
             line_counts=line_counts,
         )
-    except _FieldError as exc:
+    except ValueError as exc:
         raise ConfigError("meta", str(exc)) from None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("meta", f"malformed meta-configuration: {exc!r}") from exc

@@ -122,8 +122,9 @@ class ClusterTopology:
     beta_inter: float = 12.5e9
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 1 or self.n_gpus_per_node < 1 or self.n_slots_per_gpu < 1:
-            raise ValueError("topology counts must be >= 1")
+        for name in ("n_nodes", "n_gpus_per_node", "n_slots_per_gpu"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_devices > MAX_DEVICES:
             raise ValueError(
                 f"n_nodes x n_gpus_per_node is {self.n_devices} devices, "
@@ -188,26 +189,17 @@ class TaskSpec:
 
 
 def validate_task(task: TaskSpec) -> list[str]:
-    """Check the per-task invariants; returns human-readable violations."""
+    """Check the per-task invariants; returns human-readable violations.
+    Layer counts are the plan's, not the task's: `validate_config` checks
+    them once per distinct tuple."""
     violations = []
     try:
-        check_language(task.src_lang)
-        check_language(task.tgt_lang)
+        expected = task_id(task.src_lang, task.tgt_lang)
     except ValueError as exc:
         violations.append(f"task {task.id}: {exc}")
-    expected = task_id(task.src_lang, task.tgt_lang) if not violations else None
-    if expected is not None and task.id != expected:
-        violations.append(f"task {task.id}: id does not match languages ({expected})")
-    if len(task.enc_modules) != len(task.enc_layers):
-        violations.append(f"task {task.id}: encoder modules/layer-counts length mismatch")
-    if len(task.dec_modules) != len(task.dec_layers):
-        violations.append(f"task {task.id}: decoder modules/layer-counts length mismatch")
-    for side, counts in (("encoder", task.enc_layers), ("decoder", task.dec_layers)):
-        for n in counts:
-            if not 1 <= n <= MAX_LAYERS:
-                violations.append(
-                    f"task {task.id}: {side} layer count {n} is not in 1..{MAX_LAYERS}"
-                )
+    else:
+        if task.id != expected:
+            violations.append(f"task {task.id}: id does not match languages ({expected})")
     if not task.enc_modules or not task.dec_modules:
         violations.append(f"task {task.id}: needs at least one module per side")
     if task.weight < 1:
@@ -224,10 +216,11 @@ def validate_task(task: TaskSpec) -> list[str]:
 
 
 def validate_config(tasks: list[TaskSpec], topo: ClusterTopology) -> list[str]:
-    """Validate a full task set against topology bounds, slot limits and
-    the curriculum cover (every used device hosts a task active from
-    step 0, so the multiplexer always has a task to draw) and the
-    multiplexer's weight total (a float).
+    """Validate a full task set against topology bounds, slot limits, the
+    layer counts (once per distinct tuple, since every task of a plan
+    carries the plan's), the curriculum cover (every used device hosts a
+    task active from step 0, so the multiplexer always has a task to
+    draw) and the multiplexer's weight total (a float).
 
     Returns an empty list iff the configuration is valid.  Violations are
     reported, never raised; the result is independent of task order.
@@ -240,18 +233,25 @@ def validate_config(tasks: list[TaskSpec], topo: ClusterTopology) -> list[str]:
         if n > 1:
             violations.append(f"duplicate task id: {dup}")
 
-    enc_counts = {len(t.enc_modules) for t in tasks}
-    if len(enc_counts) > 1:
-        violations.append(
-            "unequal encoder position count across tasks: "
-            + ", ".join(str(c) for c in sorted(enc_counts))
-        )
-    dec_counts = {len(t.dec_modules) for t in tasks}
-    if len(dec_counts) > 1:
-        violations.append(
-            "unequal decoder position count across tasks: "
-            + ", ".join(str(c) for c in sorted(dec_counts))
-        )
+    for side, shapes in (
+        ("encoder", {(t.enc_layers, len(t.enc_modules)) for t in tasks}),
+        ("decoder", {(t.dec_layers, len(t.dec_modules)) for t in tasks}),
+    ):
+        counts = sorted({positions for _, positions in shapes})
+        if len(counts) > 1:
+            violations.append(
+                f"unequal {side} position count across tasks: "
+                + ", ".join(str(c) for c in counts)
+            )
+        for layers, positions in sorted(shapes):
+            if len(layers) != positions:
+                violations.append(
+                    f"{side} modules/layer-counts length mismatch: "
+                    f"{len(layers)} layer counts for {positions} positions"
+                )
+        for n in sorted({n for layers, _ in shapes for n in layers}):
+            if not 1 <= n <= MAX_LAYERS:
+                violations.append(f"{side} layer count {n} is not in 1..{MAX_LAYERS}")
 
     per_device: dict[DeviceId, list[TaskSpec]] = {}
     for task in sorted(tasks, key=lambda t: t.id):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 
 import pytest
 import yaml
@@ -87,10 +88,15 @@ def generated(workspace):
     return out
 
 
+# An exception's repr, such as KeyError('tasks'), in an error line
+EXCEPTION_REPR = re.compile(r"\b\w*Error\(")
+
+
 def one_error_line(capsys, stage):
     err = capsys.readouterr().err
     assert err.startswith(f"error: [{stage}] "), err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not EXCEPTION_REPR.search(err), err
     return err
 
 
@@ -258,21 +264,75 @@ class TestBadInput:
             ),
             ("dec_sharing: [{pattern: LANGUAGE, layers: 65537}]",
              "layer count 65537 is not in 1..65536"),
+            ("langs", "langs: required key is missing"),
+            ("dec_sharing: [{pattern: LANGUAGE, layers: 0}]",
+             "layer count 0 is not in 1..65536"),
+            ("corpus_mode: bogus", "corpus_mode: 'bogus' is not a valid CorpusMode"),
+            ("adapters: [{name: da, side: middle, pattern: LANGUAGE}]",
+             "adapters: side: 'middle' is not a valid Side"),
+            ("enc_sharing: [{layers: 4}]", "enc_sharing: pattern: required key is missing"),
+            ("enc_sharing: [{pattern: FULL, layers: 4, layer: 2}]",
+             "enc_sharing: unknown keys: layer"),
+            ("curriculum: [{start_step: 100}]",
+             "curriculum: below_lines: required key is missing"),
+            ("curriculum: [{start_step: 100, below_lines: 2, below: 3}]",
+             "curriculum: unknown keys: below"),
+            ("adapters: [{name: da, side: decoder, pattern: LANGUAGE, position: [0]}]",
+             "adapters: unknown keys: position"),
+            ("n_groups: 9", "n_groups exceeds number of languages"),
+            ("temperature: 0.5", "temperature must be >= 1"),
+            ("n_gpus_per_node: 0", "n_gpus_per_node must be >= 1, got 0"),
+            ("n_slots_per_gpu", "n_slots_per_gpu: required key is missing"),
         ],
     )
     def test_wrong_typed_meta_value(self, workspace, capsys, line, field):
-        # the line replaces any line (and its indented block) for the same key
-        key = line.partition(":")[0]
+        # the line replaces any line (and its indented block) for the same
+        # key; a line without a colon only deletes its key
+        key, colon, _ = line.partition(":")
         kept, skipping = [], False
         for old in META_YAML.splitlines():
             skipping = old.startswith(f"{key}:") or (skipping and old.startswith(" "))
             if not skipping:
                 kept.append(old)
         meta = workspace / "meta.yaml"
-        meta.write_text("\n".join(kept + [line]) + "\n")
+        meta.write_text("\n".join(kept + [line] * bool(colon)) + "\n")
         assert main(["generate", str(meta), "-o", str(workspace / "full.yaml")]) == 1
         assert field in one_error_line(capsys, "meta")
         assert not (workspace / "full.yaml").exists()
+
+    @pytest.mark.parametrize(
+        "keys, value, field",
+        [
+            ("tasks", None, "tasks: required key is missing"),
+            ("tasks", [1], "tasks: expected dict, got [1]"),
+            ("tasks.train_bg-de.src_tgt", None,
+             "task train_bg-de: src_tgt: required key is missing"),
+            ("tasks.train_bg-de.src_tgt", "bgde",
+             "task train_bg-de: src_tgt 'bgde' is not <src>-<tgt>"),
+            ("n_gpus_per_node", 0, "n_gpus_per_node must be >= 1, got 0"),
+            ("n_slots_per_gpu", None, "n_slots_per_gpu: required key is missing"),
+            ("n_nodes", None, "n_nodes: required key is missing"),
+            ("tasks.train_bg-de.wieght", 3, "task train_bg-de: unknown keys: wieght"),
+            ("n_node", 3, "unknown keys: n_node"),
+        ],
+    )
+    def test_bad_full_config_value(self, workspace, capsys, keys, value, field):
+        # the value replaces the one at the dotted path `keys`; None
+        # deletes the key
+        out = generated(workspace)
+        doc = yaml.safe_load(out.read_text())
+        *parents, key = keys.split(".")
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        out.write_text(yaml.safe_dump(doc))
+        capsys.readouterr()
+        assert main(["validate", str(out)]) == 1
+        assert field in one_error_line(capsys, "parse")
 
     def test_infinite_bandwidth_in_full_config(self, workspace, capsys):
         out = generated(workspace)
@@ -369,7 +429,21 @@ class TestBadInput:
         capsys.readouterr()
         assert main([command, str(out)]) == 1
         err = one_error_line(capsys, "validation")
-        assert f"encoder layer count {count} is not in 1..65536" in err
+        # the plan's layer counts are checked once, not once per task
+        assert err == f"error: [validation] encoder layer count {count} is not in 1..65536\n"
+
+    def test_layer_counts_longer_than_positions(self, workspace, capsys):
+        out = generated(workspace)
+        doc = yaml.safe_load(out.read_text())
+        assert len(doc["enc_layers"]) == 2
+        doc["enc_layers"].append(6)
+        out.write_text(yaml.safe_dump(doc))
+        capsys.readouterr()
+        assert main(["validate", str(out)]) == 1
+        assert one_error_line(capsys, "validation") == (
+            "error: [validation] encoder modules/layer-counts length mismatch: "
+            "3 layer counts for 2 positions\n"
+        )
 
     def test_newline_in_language_code(self, workspace, capsys):
         out = generated(workspace)
@@ -468,7 +542,9 @@ def run_cli(argv):
         except SystemExit as exc:
             code = exc.code
     if code == 1:
-        assert err.getvalue().startswith("error: [") and err.getvalue().count("\n") == 1
+        line = err.getvalue()
+        assert line.startswith("error: [") and line.count("\n") == 1
+        assert not EXCEPTION_REPR.search(line), line
     return code
 
 

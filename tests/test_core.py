@@ -210,15 +210,27 @@ class TestLayerCounts:
     @pytest.mark.parametrize("n", [1, MAX_LAYERS])
     def test_accepts_counts_in_range(self, n):
         task = make_task("aa", "bb", ["x"], ["y"], enc_layers=(n,), dec_layers=(n,))
-        assert validate_task(task) == []
+        assert validate_config([task], ClusterTopology(1, 1, 1)) == []
 
     @pytest.mark.parametrize(
         "n", [-3, 0, MAX_LAYERS + 1, 10**400], ids=["-3", "0", "MAX_LAYERS+1", "10**400"]
     )
     def test_rejects_counts_out_of_range(self, n):
         task = replace(make_task("aa", "bb", ["x"], ["y", "z"]), dec_layers=(1, n))
-        assert validate_task(task) == [
-            f"task train_aa-bb: decoder layer count {n} is not in 1..{MAX_LAYERS}"
+        assert validate_config([task], ClusterTopology(1, 1, 1)) == [
+            f"decoder layer count {n} is not in 1..{MAX_LAYERS}"
+        ]
+
+    def test_each_fault_reported_once_per_plan(self):
+        # tasks of one plan share its layer counts; a bad count or a list
+        # longer than the positions is one violation, not one per task
+        tasks = [
+            replace(make_task(a, b, ["x", "y"], ["z"]), enc_layers=(0, 2, 6))
+            for a, b in [("aa", "bb"), ("bb", "aa"), ("aa", "cc")]
+        ]
+        assert validate_config(tasks, ClusterTopology(1, 1, 3)) == [
+            "encoder modules/layer-counts length mismatch: 3 layer counts for 2 positions",
+            f"encoder layer count 0 is not in 1..{MAX_LAYERS}",
         ]
 
 
