@@ -1,9 +1,17 @@
-"""Task-to-GPU assignment by local search.
+"""Task-to-GPU assignment: a two-level warm start, then local search.
 
 Minimizes cross-device module synchronization cost while respecting GPU
 slot capacity and the curriculum-cover constraint: every GPU that hosts
 any task must host at least one task active from step 0, so no device
 idles early in training.
+
+A module whose tasks sit on several nodes pays the inter-node link, so
+the warm start partitions the task-module hypergraph nodes first, then
+devices (the connectivity-1 objective of PaToH, Catalyurek & Aykanat
+1999, with node-level coarsening as in hMETIS, Karypis et al. 1999):
+whole task groups fill nodes before their tasks are cut into device
+blocks.  Local search then moves one task at a time, which cannot
+regroup a node on its own.
 
 The cost of a placement is, per module, its parameter count times a
 weighted span: W_INTRA per extra device plus (W_INTER - W_INTRA) per
@@ -170,24 +178,21 @@ def comm_cost(
     return CommCost(sum(per_module), dict(zip(ctx.module_keys, per_module)))
 
 
-def _signature(task: TaskSpec) -> tuple:
-    return tuple(sorted(task.modules()))
-
-
-def _device_order(topo: ClusterTopology) -> list[DeviceId]:
-    # round-robin over nodes: consecutive GPUs land on different nodes
-    return [
-        DeviceId(g % topo.n_nodes, g // topo.n_nodes)
-        for g in range(topo.n_devices)
-    ]
-
-
 def initial_assignment(
     tasks: Sequence[TaskSpec], topo: ClusterTopology, seed: int = 0
 ) -> Assignment:
-    """Greedy warm start: group tasks by sharing signature and pack
-    signature-similar tasks onto the same GPU, spreading load evenly over
-    as many GPUs as the curriculum cover allows."""
+    """Two-level greedy warm start: whole task groups to nodes first, then
+    signature blocks to the devices of each node.
+
+    The first `used` devices in `topo.devices()` (node-major) are used, as
+    many as the curriculum cover allows, with blocks of base or base+1
+    tasks.  A task's group is its heaviest module (by layer count, ties to
+    the lower module id) that not every task shares.  Groups go whole into
+    nodes best-fit-decreasing; the tasks of groups that fit no node fill
+    the remaining node capacity in node order.  Inside a node, tasks are
+    sorted by sharing signature and cut into that node's device blocks.  A
+    block without a step-0 task swaps in one from a block of the same node
+    where there is one.  The seed orders tasks of equal signature."""
     n = len(tasks)
     if n == 0:
         return Assignment({})
@@ -202,46 +207,83 @@ def initial_assignment(
             f"only {n_step0} step-0 tasks for at least {min_gpus} required GPUs: "
             "some device would idle before curriculum catch-up"
         )
-    used = min(topo.n_devices, n)
-    if n_step0 < used:
-        used = n_step0
+    used = min(topo.n_devices, n, n_step0)
+
+    # integer module ids in ModuleKey order, so id signatures sort as key
+    # ones do; each key is hashed once, as comparing keys is slow
+    seen: dict[ModuleKey, int] = {}
+    task_ids = [[seen.setdefault(k, len(seen)) for k in t.modules()] for t in tasks]
+    module_id = [0] * len(seen)
+    for m, k in enumerate(sorted(seen)):
+        module_id[seen[k]] = m
+    layers = [0] * len(seen)
+    sharers = [0] * len(seen)
+    for t, ids in zip(tasks, task_ids):
+        ids[:] = [module_id[m] for m in ids]
+        for m, n_layers in zip(ids, t.enc_layers + t.dec_layers):
+            layers[m] = n_layers
+            sharers[m] += 1
 
     rng = random.Random(seed)
-    order = sorted(tasks, key=lambda t: t.id)
-    rng.shuffle(order)
-    order.sort(key=_signature)  # stable: seeded order within equal signatures
+    shuffled = sorted(range(n), key=lambda i: tasks[i].id)
+    rng.shuffle(shuffled)
+    # stable: seeded order within equal signatures; task p of `order` is
+    # p-th in signature order, so sorting positions sorts by signature
+    shuffled.sort(key=lambda i: sorted(task_ids[i]))
+    order = [tasks[i] for i in shuffled]
 
+    groups: dict[int, list[int]] = {}
+    for p, i in enumerate(shuffled):
+        own = [m for m in task_ids[i] if sharers[m] < n]
+        key = min(own, key=lambda m: (-layers[m], m), default=-1)
+        groups.setdefault(key, []).append(p)
+
+    devices = topo.devices()[:used]
     base, rem = divmod(n, used)
-    devices = _device_order(topo)[:used]
-    placement: dict[str, DeviceId] = {}
-    blocks: list[list[TaskSpec]] = []
-    pos = 0
-    for b in range(used):
-        size = base + (1 if b < rem else 0)
-        blocks.append(order[pos : pos + size])
-        pos += size
-
-    # repair curriculum cover: move a spare step-0 task into uncovered blocks
-    def step0(block: list[TaskSpec]) -> list[TaskSpec]:
-        return [t for t in block if t.introduce_at_training_step == 0]
-
-    for b, block in enumerate(blocks):
-        if step0(block):
+    sizes = [base + (1 if b < rem else 0) for b in range(used)]
+    free = [0] * topo.n_nodes
+    for dev, size in zip(devices, sizes):
+        free[dev.node] += size
+    on_node: list[list[int]] = [[] for _ in free]
+    loose: list[int] = []
+    for _, members in sorted(groups.items(), key=lambda g: (-len(g[1]), g[0])):
+        fits = [k for k, room in enumerate(free) if room >= len(members)]
+        if not fits:
+            loose += members
             continue
-        for other in blocks:
-            spare = step0(other)
-            if len(spare) >= 2:
-                delayed = next(t for t in block if t.introduce_at_training_step > 0)
-                block[block.index(delayed)] = spare[0]
-                other[other.index(spare[0])] = delayed
-                break
-        else:
-            raise AllocationError("unable to cover every used GPU with a step-0 task")
+        k = min(fits, key=free.__getitem__)
+        on_node[k] += members
+        free[k] -= len(members)
+    for k, room in enumerate(free):
+        on_node[k] += loose[:room]
+        del loose[:room]
 
-    for dev, block in zip(devices, blocks):
-        for task in block:
-            placement[task.id] = dev
-    return Assignment(placement)
+    for members in on_node:
+        members.sort()
+    blocks: list[list[TaskSpec]] = []
+    for dev, size in zip(devices, sizes):
+        members = on_node[dev.node]
+        blocks.append([order[p] for p in members[:size]])
+        del members[:size]
+
+    # repair curriculum cover: move a spare step-0 task into uncovered
+    # blocks, from a block on the same node where one has a spare
+    n0 = [sum(t.introduce_at_training_step == 0 for t in block) for block in blocks]
+    for b, block in enumerate(blocks):
+        if n0[b]:
+            continue
+        donors = [o for o in range(used) if n0[o] >= 2]
+        if not donors:
+            raise AllocationError("unable to cover every used GPU with a step-0 task")
+        o = min(donors, key=lambda o: devices[o].node != devices[b].node)
+        spare = next(t for t in blocks[o] if t.introduce_at_training_step == 0)
+        delayed = next(t for t in block if t.introduce_at_training_step > 0)
+        block[block.index(delayed)] = spare
+        blocks[o][blocks[o].index(spare)] = delayed
+        n0[b] += 1
+        n0[o] -= 1
+
+    return Assignment({t.id: dev for dev, block in zip(devices, blocks) for t in block})
 
 
 def local_search(

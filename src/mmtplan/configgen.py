@@ -18,6 +18,7 @@ import yaml
 from . import allocator
 from .clusterer import load_distance_matrix, cluster_languages
 from .core import (
+    MAX_LAYERS,
     ClusterTopology,
     DeviceId,
     ModuleKey,
@@ -512,13 +513,18 @@ def _get_mappings(doc: dict, key: str, known: frozenset, default=MISSING) -> lis
 
 
 def _parse_stacks(doc: dict, key: str) -> tuple[tuple[SharingPattern, int], ...]:
-    return tuple(
-        (
-            _get(item, "pattern", str, f"{key}: ", convert=SharingPattern),
-            _get(item, "layers", int, f"{key}: "),
-        )
-        for item in _get_mappings(doc, key, _STACK_KEYS)
-    )
+    """One side's stacks, checked as `ArchSpec` checks them but with the
+    side's key and the stack's index in the message."""
+    stacks = []
+    for i, item in enumerate(_get_mappings(doc, key, _STACK_KEYS)):
+        pattern = _get(item, "pattern", str, f"{key}: ", convert=SharingPattern)
+        layers = _get(item, "layers", int, f"{key}: ")
+        if not 1 <= layers <= MAX_LAYERS:
+            raise ValueError(f"{key}[{i}]: layer count {layers} is not in 1..{MAX_LAYERS}")
+        stacks.append((pattern, layers))
+    if not stacks:
+        raise ValueError(f"{key}: at least one stack")
+    return tuple(stacks)
 
 
 def _load_meta_yaml(path: str):

@@ -209,6 +209,71 @@ class TestInitialAssignment:
             tasks, topo, seed=5
         )
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+        data=st.data(),
+    )
+    def test_feasible_balanced_and_deterministic(self, shape, data):
+        topo = ClusterTopology(*shape)
+        capacity = topo.n_devices * topo.n_slots_per_gpu
+        n = data.draw(st.integers(1, min(capacity, 12)))
+        tasks = random_instance(data.draw(st.integers(0, 10**6)), n, topo)
+        seed = data.draw(st.integers(0, 10**6))
+        a = initial_assignment(tasks, topo, seed=seed)
+        assert validate_config(placed(a, tasks), topo) == []
+        assert a == initial_assignment(tasks[::-1], topo, seed=seed)
+        # the first `used` devices in node-major order, base or base+1 tasks each
+        n_step0 = sum(t.introduce_at_training_step == 0 for t in tasks)
+        used = min(topo.n_devices, n, n_step0)
+        base, rem = divmod(n, used)
+        counts = [list(a.placement.values()).count(d) for d in topo.devices()]
+        sizes = [base + (b < rem) for b in range(used)]
+        assert counts == sizes + [0] * (topo.n_devices - used)
+
+    @pytest.mark.parametrize(
+        "enc_layers, dec_layers, side",
+        [((2, 4), (4,), Side.DECODER), ((4, 4), (2,), Side.ENCODER)],
+    )
+    def test_language_modules_stay_on_one_node(self, enc_layers, dec_layers, side):
+        # 20 all-pairs tasks, four per language and side, on five nodes of
+        # four slots: every group of the heavier LANGUAGE side fits a node
+        langs = ["bg", "de", "en", "fi", "hu"]
+        tasks = [
+            make_task(s, t, [s, "full"], [t], enc_layers, dec_layers)
+            for s in langs
+            for t in langs
+            if s != t
+        ]
+        topo = ClusterTopology(5, 2, 2)
+        for seed in range(5):
+            a = initial_assignment(tasks, topo, seed=seed)
+            nodes = {}
+            for t in tasks:
+                for m in t.modules():
+                    nodes.setdefault(m, set()).add(a.placement[t.id].node)
+            language = {m: n for m, n in nodes.items() if m.side is side and m.position == 0}
+            assert len(language) == 5
+            assert all(len(n) == 1 for n in language.values())
+
+    def test_cover_repair_takes_same_node_donor(self):
+        # groups a..d of two tasks fill devices 0:0, 0:1, 1:0, 1:1 in turn;
+        # the d block on node 1 has no step-0 task, and both the a block
+        # (node 0) and the c block (node 1) have a spare one
+        topo = ClusterTopology(2, 2, 2)
+        intro = {"a": (0, 0), "b": (0, 5000), "c": (0, 0), "d": (5000, 5000)}
+        tasks = [
+            make_task(f"{g}{i}", "zz", ["full"], [g], intro=intro[g][i])
+            for g in "abcd"
+            for i in range(2)
+        ]
+        a = initial_assignment(tasks, topo)
+        assert validate_config(placed(a, tasks), topo) == []
+        on = {t.id: a.placement[t.id] for t in tasks}
+        assert on["train_a0-zz"] == on["train_a1-zz"] == DeviceId(0, 0)
+        hosted = sorted(t.src_lang[0] for t in tasks if on[t.id] == DeviceId(1, 1))
+        assert hosted == ["c", "d"]
+
 
 class TestLocalSearch:
     def test_never_worse_and_valid(self):

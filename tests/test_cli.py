@@ -267,6 +267,12 @@ class TestBadInput:
             ("langs", "langs: required key is missing"),
             ("dec_sharing: [{pattern: LANGUAGE, layers: 0}]",
              "layer count 0 is not in 1..65536"),
+            ("enc_sharing: []", "enc_sharing: at least one stack"),
+            ("dec_sharing: []", "dec_sharing: at least one stack"),
+            ("enc_sharing: [{pattern: FULL, layers: 0}]",
+             "enc_sharing[0]: layer count 0 is not in 1..65536"),
+            ("dec_sharing: [{pattern: LANGUAGE, layers: 4}, {pattern: FULL, layers: 0}]",
+             "dec_sharing[1]: layer count 0 is not in 1..65536"),
             ("corpus_mode: bogus", "corpus_mode: 'bogus' is not a valid CorpusMode"),
             ("adapters: [{name: da, side: middle, pattern: LANGUAGE}]",
              "adapters: side: 'middle' is not a valid Side"),
