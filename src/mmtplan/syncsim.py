@@ -6,6 +6,13 @@ shared modules all-reduce their gradients, and a ring allreduce cost
 model turns the ledger's bytes into time.  Modules hosted on a single
 device never communicate at all.  No gradient value enters the ledger.
 
+Batches are drawn by one rule, `multiplex`'s: a draw table per curriculum
+phase (`draw_table`: the active tasks' running weight sums and their
+integer total) and a bisection into it.  `run_benchmark` keeps one table
+per device and rebuilds it only at the steps where one of the device's
+tasks is introduced, so a step costs one rng call, one bisection and a
+few additions per batch.
+
 The synchronization rule itself has a tensor-level reference: simulated
 devices run a toy linear-chain model over the real task/module structure,
 and `sync_step` sums a shared module's gradients across the devices
@@ -17,6 +24,7 @@ serves as ground truth.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -186,22 +194,38 @@ def oracle_reference(
     return result
 
 
+def draw_table(
+    tasks: Sequence[TaskSpec], step: int
+) -> tuple[list[int], list[float], int]:
+    """The multiplexer's draw table at `step`: the positions in `tasks` of
+    the tasks active there (curriculum-delayed tasks are excluded until
+    their introduction step), the running float sums of their weights
+    (0.0 + w1 + w2 ...) and the exact integer total of those weights.
+
+    A draw takes the first running sum above `rng.random() * total`, or
+    the last entry should rounding leave the draw past every sum.  The
+    integer total, not the float sum `cum[-1]`, scales the draw: past
+    2**53 the two differ."""
+    active = [k for k, t in enumerate(tasks) if t.introduce_at_training_step <= step]
+    cum: list[float] = []
+    acc = 0.0
+    for k in active:
+        acc += tasks[k].weight
+        cum.append(acc)
+    return active, cum, sum(tasks[k].weight for k in active)
+
+
 def multiplex(
     tasks: Sequence[TaskSpec], step: int, rng: random.Random
 ) -> TaskSpec:
     """Weighted choice among the tasks active at `step`; curriculum-delayed
     tasks are excluded until their introduction step."""
-    active = [t for t in sorted(tasks, key=lambda t: t.id) if t.introduce_at_training_step <= step]
+    tasks = sorted(tasks, key=lambda t: t.id)
+    active, cum, total = draw_table(tasks, step)
     if not active:
         raise SimulationError(f"no active task at step {step}")
-    total = sum(t.weight for t in active)
-    r = rng.random() * total
-    acc = 0.0
-    for task in active:
-        acc += task.weight
-        if r < acc:
-            return task
-    return active[-1]
+    k = bisect_right(cum, rng.random() * total)
+    return tasks[active[min(k, len(cum) - 1)]]
 
 
 class Reservoir:
@@ -302,12 +326,13 @@ def run_benchmark(
     """Model the communication and compute of optimizer steps over an
     allocated configuration, from the multiplexing trace alone.
 
-    Each step, every device draws `accum_count` batches via the task
-    multiplexer.  Each module hosted on two or more devices all-reduces its
-    ready flags, and its gradient too if a drawn task used it; the ring
-    allreduce model charges the worst link class its device group spans.
-    Compute time is COMPUTE_SEC_PER_TOKEN_LAYER * tokens * layers on the
-    slowest device.
+    Each step, every device draws `accum_count` batches by `multiplex`'s
+    rule, from a draw table that is rebuilt only at the steps where one of
+    its tasks is introduced.  Each module hosted on two or more devices
+    all-reduces its ready flags, and its gradient too if a drawn task used
+    it; the ring allreduce model charges the worst link class its device
+    group spans.  Compute time is COMPUTE_SEC_PER_TOKEN_LAYER * tokens *
+    layers on the slowest device.
     """
     tasks = sorted(tasks, key=lambda t: t.id)
     for t in tasks:
@@ -319,11 +344,9 @@ def run_benchmark(
     modules = enumerate_modules(tasks)
     ctx = CostContext(tasks, modules, topo)
     task_dev = ctx.placement_list({t.id: t.device for t in tasks})
-    task_index = {task.id: t for t, task in enumerate(ctx.tasks)}
-    chain_layers = [sum(t.enc_layers) + sum(t.dec_layers) for t in ctx.tasks]
-    by_device: dict[int, list[TaskSpec]] = {}
-    for task, i in zip(ctx.tasks, task_dev):
-        by_device.setdefault(i, []).append(task)
+    by_device: dict[int, list[int]] = {}
+    for t, i in enumerate(task_dev):
+        by_device.setdefault(i, []).append(t)
     dev_indices = sorted(by_device)
 
     # Modules hosted on 2+ devices, in sorted-key order so that comm_time
@@ -344,25 +367,66 @@ def run_benchmark(
         grad_time = ring_allreduce_time(payload, g, alpha, beta)
         shared.append((m, payload, ready_time, grad_time))
 
-    mux_rngs = {i: random.Random(f"{seed}:{i}:mux") for i in dev_indices}
+    # Per task, once: the compute time of one batch and its modules as a
+    # bitmask over module ids.
+    term = [
+        COMPUTE_SEC_PER_TOKEN_LAYER * batch_tokens * (sum(t.enc_layers) + sum(t.dec_layers))
+        for t in ctx.tasks
+    ]
+    mask = []
+    for mods in ctx.task_modules:
+        bits = 0
+        for m in mods:
+            bits |= 1 << m
+        mask.append(bits)
 
+    def table(j: int, step: int) -> tuple[list[float], int, list[float], list[int]]:
+        """Device j's draw table at `step`, with the compute terms and
+        masks of its active tasks in table order."""
+        ids = by_device[dev_indices[j]]
+        active, cum, total = draw_table([ctx.tasks[t] for t in ids], step)
+        if not active and accum_count > 0:
+            raise SimulationError(
+                f"no active task on device {topo.devices()[dev_indices[j]]} at step {step}"
+            )
+        picked = [ids[k] for k in active]
+        return cum, total, [term[t] for t in picked], [mask[t] for t in picked]
+
+    # The steps at which device j's table is built: step 0, then each step
+    # inside the run at which one of its tasks is introduced.
+    rebuild: dict[int, set[int]] = {0: set(range(len(dev_indices)))} if steps > 0 else {}
+    for j, i in enumerate(dev_indices):
+        for t in by_device[i]:
+            intro = ctx.tasks[t].introduce_at_training_step
+            if 0 < intro < steps:
+                rebuild.setdefault(intro, set()).add(j)
+
+    draws = [random.Random(f"{seed}:{i}:mux").random for i in dev_indices]
+    tables: list = [None] * len(dev_indices)
+    tokens = batch_tokens * accum_count * len(dev_indices)
     ledger = CommLedger()
     for step in range(steps):
-        used: set[int] = set()
+        for j in sorted(rebuild.get(step, ())):
+            tables[j] = table(j, step)
+        used = 0
         compute_per_device = []
-        for i in dev_indices:
+        for rand, (cum, total, terms, masks) in zip(draws, tables):
             compute = 0.0
+            last = len(cum) - 1
             for _ in range(accum_count):
-                t = task_index[multiplex(by_device[i], step, mux_rngs[i]).id]
-                used.update(ctx.task_modules[t])
-                compute += COMPUTE_SEC_PER_TOKEN_LAYER * batch_tokens * chain_layers[t]
+                # `draw_table`'s draw rule, as in `multiplex`
+                k = bisect_right(cum, rand() * total)
+                if k > last:
+                    k = last
+                used |= masks[k]
+                compute += terms[k]
             compute_per_device.append(compute)
 
         grad_bytes = 0
         comm_time = 0.0
         for m, payload, ready_time, grad_time in shared:
             comm_time += ready_time
-            if m in used:
+            if used >> m & 1:
                 grad_bytes += payload
                 comm_time += grad_time
 
@@ -373,7 +437,7 @@ def run_benchmark(
                 grad_bytes=grad_bytes,
                 comm_time=comm_time,
                 compute_time=max(compute_per_device, default=0.0),
-                tokens=batch_tokens * accum_count * len(dev_indices),
+                tokens=tokens,
             )
         )
 

@@ -1,15 +1,24 @@
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mmtplan.allocator import CostContext
 from mmtplan.core import ClusterTopology, ModuleKey, Side
+from mmtplan.sharing import enumerate_modules
 from mmtplan.syncsim import (
+    COMPUTE_SEC_PER_TOKEN_LAYER,
+    GRAD_BYTES_PER_PARAM,
+    READY_ENTRY_BYTES,
+    CommLedger,
     DeviceState,
     Reservoir,
     SimulationError,
+    StepRecord,
     ToyModel,
     forward,
     local_backward,
@@ -308,6 +317,186 @@ class TestRunBenchmark:
         t = make_task("aa", "bb", ["x"], ["y"])
         with pytest.raises(SimulationError):
             run_benchmark([t], topo, steps=1)
+
+    def test_no_active_task_names_device_only_when_drawing(self):
+        topo = ClusterTopology(1, 2, 1)
+        tasks = [
+            make_task("aa", "bb", ["x"], ["y"], device=(0, 0)),
+            make_task("bb", "aa", ["x"], ["y"], intro=5, device=(0, 1)),
+        ]
+        with pytest.raises(SimulationError, match="no active task on device 0:1 at step 0"):
+            run_benchmark(tasks, topo, steps=1)
+        ledger, _ = run_benchmark(tasks, topo, steps=0)
+        assert ledger.records == []
+
+
+def reference_run_benchmark(tasks, topo, steps, seed=0, accum_count=1, batch_tokens=4096):
+    """The simulator as a plain per-draw loop: `multiplex` once per batch
+    over the device's whole task list, modules collected in a set.  The
+    oracle that `run_benchmark`'s draw tables must match byte for byte."""
+    tasks = sorted(tasks, key=lambda t: t.id)
+    modules = enumerate_modules(tasks)
+    ctx = CostContext(tasks, modules, topo)
+    task_dev = ctx.placement_list({t.id: t.device for t in tasks})
+    task_index = {task.id: t for t, task in enumerate(ctx.tasks)}
+    chain_layers = [sum(t.enc_layers) + sum(t.dec_layers) for t in ctx.tasks]
+    by_device = {}
+    for task, i in zip(ctx.tasks, task_dev):
+        by_device.setdefault(i, []).append(task)
+    dev_indices = sorted(by_device)
+
+    shared = []
+    ready_bytes = 0
+    for m, devs in enumerate(ctx.hosts(task_dev)):
+        g = len(devs)
+        if g < 2:
+            continue
+        spans_nodes = ctx.node_count(devs) > 1
+        alpha = topo.alpha_inter if spans_nodes else topo.alpha_intra
+        beta = topo.beta_inter if spans_nodes else topo.beta_intra
+        payload = GRAD_BYTES_PER_PARAM * modules[ctx.module_keys[m]].n_params
+        ready_bytes += READY_ENTRY_BYTES * g
+        shared.append((
+            m,
+            payload,
+            ring_allreduce_time(READY_ENTRY_BYTES, g, alpha, beta),
+            ring_allreduce_time(payload, g, alpha, beta),
+        ))
+
+    mux_rngs = {i: random.Random(f"{seed}:{i}:mux") for i in dev_indices}
+    ledger = CommLedger()
+    for step in range(steps):
+        used = set()
+        compute_per_device = []
+        for i in dev_indices:
+            compute = 0.0
+            for _ in range(accum_count):
+                t = task_index[multiplex(by_device[i], step, mux_rngs[i]).id]
+                used.update(ctx.task_modules[t])
+                compute += COMPUTE_SEC_PER_TOKEN_LAYER * batch_tokens * chain_layers[t]
+            compute_per_device.append(compute)
+        grad_bytes = 0
+        comm_time = 0.0
+        for m, payload, ready_time, grad_time in shared:
+            comm_time += ready_time
+            if m in used:
+                grad_bytes += payload
+                comm_time += grad_time
+        ledger.records.append(StepRecord(
+            step=step,
+            ready_bytes=ready_bytes,
+            grad_bytes=grad_bytes,
+            comm_time=comm_time,
+            compute_time=max(compute_per_device, default=0.0),
+            tokens=batch_tokens * accum_count * len(dev_indices),
+        ))
+    summary = {
+        "steps": steps,
+        "devices": len(dev_indices),
+        "tasks": len(tasks),
+        "modules": len(modules),
+        "total_tokens": ledger.total_tokens,
+        "total_time_sec": ledger.total_time,
+        "tokens_per_sec": ledger.tokens_per_sec,
+        "comm_time_fraction": ledger.comm_fraction,
+        "grad_allreduce_bytes": ledger.total_grad_bytes,
+        "ready_sync_bytes": ledger.total_ready_bytes,
+    }
+    return ledger, summary
+
+
+LANGS = ("aa", "bb", "cc", "dd")
+PAIRS = [(s, t) for s in LANGS for t in LANGS if s != t]
+# small weights, and weights large enough that a few sum past 2**53
+WEIGHTS = st.one_of(st.integers(1, 9), st.integers(2**50, 2**60))
+# introduced at step 0, inside the simulated range or past it
+INTROS = st.one_of(st.just(0), st.integers(1, 40), st.integers(41, 10**6))
+
+
+@st.composite
+def small_plans(draw):
+    n_nodes = draw(st.integers(1, 3))
+    gpus = draw(st.integers(1, 6 // n_nodes))
+    n_devices = n_nodes * gpus
+    topo = ClusterTopology(n_nodes, gpus, 8)
+    devices = topo.devices()
+    pairs = draw(st.lists(st.sampled_from(PAIRS), min_size=1, max_size=10, unique=True))
+    # one layer count per stack position, so that a module's is the same in every task
+    enc_layers = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2))
+    dec_layers = draw(st.integers(1, 3))
+    tasks = []
+    for src, tgt in pairs:
+        enc = [draw(st.sampled_from((src, tgt, "full"))) for _ in range(draw(st.integers(1, 2)))]
+        dec = [draw(st.sampled_from((tgt, "full")))]
+        tasks.append(make_task(
+            src, tgt, enc, dec,
+            enc_layers=enc_layers[:len(enc)],
+            dec_layers=[dec_layers],
+            weight=draw(WEIGHTS),
+            intro=draw(INTROS),
+            device=devices[draw(st.integers(0, n_devices - 1))],
+        ))
+    # most plans give every device a task active from step 0
+    if draw(st.integers(0, 9)):
+        for dev in {t.device for t in tasks}:
+            first = min((t for t in tasks if t.device == dev), key=lambda t: t.id)
+            tasks[tasks.index(first)] = replace(first, introduce_at_training_step=0)
+    return tasks, topo
+
+
+class FixedRandom:
+    """An rng whose every draw is `u`, to put a draw where the float
+    rounding of the running weight sums decides it."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+# (weight of the lower-id task, weight of the other, draw, task drawn):
+# a draw equal to the first running sum takes the second task; past 2**53
+# the integer total, not the float sum of the weights, scales the draw; a
+# draw past every running sum takes the last task.
+EDGE_DRAWS = [
+    (1, 3, 0.25, 1),
+    (681553500597922098, 117859889551590051, 0.8525670310206499, 1),
+    (748875707635179194, 10612570161021471, 0.9999999999999999, 1),
+]
+
+
+class TestDrawTables:
+    @pytest.mark.parametrize("w0, w1, u, drawn", EDGE_DRAWS)
+    def test_draws_at_float_edges(self, monkeypatch, w0, w1, u, drawn):
+        tasks = [
+            make_task("aa", "bb", ["aa"], ["y"], (1,), (1,), weight=w0, device=(0, 0)),
+            make_task("bb", "aa", ["bb"], ["y"], (2,), (1,), weight=w1, device=(0, 0)),
+        ]
+        assert multiplex(tasks, 0, FixedRandom(u)) is tasks[drawn]
+        monkeypatch.setattr(random, "Random", lambda seed: FixedRandom(u))
+        ledger, _ = run_benchmark(tasks, ClusterTopology(1, 1, 2), steps=1)
+        layers = sum(tasks[drawn].enc_layers) + sum(tasks[drawn].dec_layers)
+        assert ledger.records[0].compute_time == COMPUTE_SEC_PER_TOKEN_LAYER * 4096 * layers
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        plan=small_plans(),
+        steps=st.integers(0, 40),
+        seed=st.integers(0, 2**32),
+        accum=st.integers(1, 4),
+    )
+    def test_matches_per_draw_reference(self, plan, steps, seed, accum):
+        tasks, topo = plan
+        try:
+            expected = reference_run_benchmark(tasks, topo, steps, seed=seed, accum_count=accum)
+        except SimulationError:
+            with pytest.raises(SimulationError):
+                run_benchmark(tasks, topo, steps, seed=seed, accum_count=accum)
+            return
+        ledger, summary = run_benchmark(tasks, topo, steps, seed=seed, accum_count=accum)
+        assert ledger.to_tsv() == expected[0].to_tsv()
+        assert summary == expected[1]
 
 
 PINNED_LEDGER = """\
