@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core import check_language
 
@@ -64,15 +63,34 @@ def cluster_languages(m: LanguageDistanceMatrix, k: int) -> dict[str, str]:
     # Clusters are keyed by the sorted position of their smallest member.
     # link[a][c] is the complete-linkage distance between clusters a and c;
     # after a merge it is max(link[a][c], link[b][c]) (Lance-Williams).
-    # Keys are only ever removed, so `members` iterates in ascending order
-    # and combinations() yields each pair as (smaller, larger).
+    # Keys are only ever removed, so `members` iterates in ascending order.
+    # nearest[a] is (link, c) for a's nearest cluster c > a, ties to the
+    # smaller c, so the least (link, a, c) over it is the least (link, a, b)
+    # over all pairs a < b: the same merge as a rescan of every pair.
     link = [[m.d[i][j] for j in order] for i in order]
     members = {a: [a] for a in range(len(order))}
+    nearest: dict[int, tuple[float, int]] = {}
+
+    def refresh(a: int) -> None:
+        row = link[a]
+        entry = min(((row[c], c) for c in members if c > a), default=None)
+        if entry is None:
+            nearest.pop(a, None)
+        else:
+            nearest[a] = entry
+
+    for a in members:
+        refresh(a)
     while len(members) > k:
-        _, a, b = min((link[a][b], a, b) for a, b in combinations(members, 2))
+        _, a, b = min((d, a, c) for a, (d, c) in nearest.items())
         members[a] += members.pop(b)
+        nearest.pop(b, None)
         for c in members:
             link[a][c] = link[c][a] = max(link[a][c], link[b][c])
+        # A merge only raises distances, so an entry stays right unless it
+        # is a's own or it named a or b.
+        for c in [c for c, (_, x) in nearest.items() if c == a or x == a or x == b]:
+            refresh(c)
 
     return {
         m.languages[order[i]]: f"group{idx}"

@@ -200,7 +200,11 @@ def assign_adapters(
 
 
 def default_probe(corpus_root: str) -> Callable[[str], bool]:
-    return lambda path: os.path.exists(os.path.join(corpus_root, path))
+    """Whether a template path names a regular file (symlinks followed)
+    under `corpus_root`: one `stat` per call.  The root is joined once; an
+    absolute path ignores it, as `os.path.join` does."""
+    root = os.path.join(corpus_root, "")
+    return lambda path: os.path.isfile(path if os.path.isabs(path) else root + path)
 
 
 def generate(
@@ -512,6 +516,17 @@ def _get_mappings(doc: dict, key: str, known: frozenset, default=MISSING) -> lis
     return items
 
 
+def _distinct_langs(doc: dict) -> tuple[str, ...]:
+    """`langs`, each code at most once."""
+    langs = _get_list(doc, "langs", str)
+    seen = set()
+    for lang in langs:
+        if lang in seen:
+            raise ValueError(f"langs: duplicate language code {lang}")
+        seen.add(lang)
+    return tuple(langs)
+
+
 def _parse_stacks(doc: dict, key: str) -> tuple[tuple[SharingPattern, int], ...]:
     """One side's stacks, checked as `ArchSpec` checks them but with the
     side's key and the stack's index in the message."""
@@ -548,9 +563,10 @@ _ADAPTER_KEYS = frozenset({"name", "side", "positions", "pattern"})
 def load_meta_config(path: str) -> MetaConfig:
     """Read a meta-configuration YAML file.
 
-    Every field is checked for its type, and an unknown key is an error.
-    Relative corpus roots, distance matrices and line-count files are
-    resolved against the meta file's directory.
+    Every field is checked for its type, and an unknown key or a language
+    code listed twice is an error.  Relative corpus roots, distance
+    matrices and line-count files are resolved against the meta file's
+    directory.
     """
     base = os.path.dirname(os.path.abspath(path))
     doc = _load_meta_yaml(path)
@@ -573,7 +589,7 @@ def load_meta_config(path: str) -> MetaConfig:
                 for k, v in _typed(line_counts, dict, "line_counts").items()
             }
         return MetaConfig(
-            languages=tuple(_get_list(doc, "langs", str)),
+            languages=_distinct_langs(doc),
             src_path_template=_get(doc, "src_path_template", str),
             tgt_path_template=_get(doc, "tgt_path_template", str),
             corpus_mode=_get(

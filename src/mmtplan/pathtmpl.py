@@ -63,6 +63,10 @@ class PathTemplate:
         accordingly."""
         check_language(src)
         check_language(tgt)
+        return self._render(src, tgt)
+
+    def _render(self, src: str, tgt: str) -> str:
+        """`render` for language codes already checked."""
         if self.mode is CorpusMode.DIRECTIONAL:
             return self.template.format(src_lang=src, tgt_lang=tgt, lang_pair=f"{src}-{tgt}")
         lang_a, lang_b = min(src, tgt), max(src, tgt)
@@ -85,9 +89,11 @@ def discover_tasks(
 ) -> list[tuple[str, str]]:
     """Find which directed language pairs have data in the corpus.
 
-    A pair survives iff both its rendered source and target paths exist.
-    Self-pairs (for autoencoder stages) are probed only when requested.
-    The probe is injected so discovery stays filesystem-agnostic.
+    A pair survives iff the probe accepts both its rendered source and
+    target paths (`configgen.default_probe` accepts regular files,
+    symlinks followed).  Self-pairs (for autoencoder stages) are probed
+    only when requested.  The probe is injected so discovery stays
+    filesystem-agnostic.  Each language is checked once, here.
     """
     langs = sorted({check_language(l) for l in languages})
     found = []
@@ -95,8 +101,8 @@ def discover_tasks(
         for tgt in langs:
             if src == tgt and not include_self_pairs:
                 continue
-            if file_exists(src_template.render(src, tgt)) and file_exists(
-                tgt_template.render(src, tgt)
+            if file_exists(src_template._render(src, tgt)) and file_exists(
+                tgt_template._render(src, tgt)
             ):
                 found.append((src, tgt))
     return found

@@ -137,6 +137,25 @@ class TestGenerate:
         assert err.startswith("error: [meta] ") and "quote" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_directory_at_corpus_path_is_not_a_corpus(self, workspace):
+        (workspace / "corpus" / "bg-de" / "train.bg").unlink()
+        (workspace / "corpus" / "bg-de" / "train.bg").mkdir()
+        out = workspace / "full.yaml"
+        assert main(["generate", str(workspace / "meta.yaml"), "-o", str(out)]) == 0
+        tasks = load_full_config(str(out)).tasks
+        assert "train_bg-de" not in tasks and len(tasks) == 5
+
+    def test_duplicate_language(self, workspace, capsys):
+        meta = workspace / "meta.yaml"
+        meta.write_text(
+            META_YAML.replace("langs: [bg, de, en]", "langs: [en, de, en, bg]")
+            + "n_groups: 3\n"
+        )
+        assert main(["generate", str(meta)]) == 1
+        assert one_error_line(capsys, "meta") == (
+            "error: [meta] langs: duplicate language code en\n"
+        )
+
     def test_pure_python_yaml(self, workspace, request):
         # the classes that run where PyYAML has no libyaml give the same file
         out = generated(workspace)

@@ -190,6 +190,22 @@ class TestAgainstReference:
             assert cluster_languages(m, k) == expected
             assert cluster_languages(shuffled, k) == expected
 
+    @pytest.mark.parametrize("seed, n", [(0, 25), (1, 33), (2, 40)])
+    def test_equals_reference_at_larger_n(self, seed, n):
+        # three distance values: nearly every merge is a tie, and each merge
+        # leaves many clusters whose cached nearest cluster was a or b
+        rng = random.Random(seed)
+        langs = [f"l{i:02d}" for i in range(n)]
+        values = {}
+
+        def dist(a, b):
+            return values.setdefault(frozenset({a, b}), rng.choice((1.0, 2.0, 3.0)))
+
+        m = matrix_from(langs, dist)
+        for k in range(1, n + 1):
+            expected, _ = reference_cluster_languages(m, k)
+            assert cluster_languages(m, k) == expected
+
     def test_planted_families_with_ties(self):
         # 60 languages in 6 planted families: distances inside a family are
         # 1 or 2, across families 3 or 4, so both levels are full of ties

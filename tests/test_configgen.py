@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -17,6 +20,7 @@ from mmtplan.configgen import (
     assign_curriculum,
     assign_transforms,
     compute_weights,
+    default_probe,
     emit,
     generate,
     load_meta_config,
@@ -513,3 +517,106 @@ seed: 11
                 ["bg", "en"],
                 adapters=(AdapterSpec("da", Side.DECODER, (5,), SP.FULL),),
             )
+
+
+META_LANGS_BG_EN = """\
+langs: [bg, en]
+src_path_template: "{src_tpl}"
+tgt_path_template: "{tgt_tpl}"
+corpus_root: {root}
+enc_sharing: [{{pattern: LANGUAGE, layers: 1}}]
+dec_sharing: [{{pattern: LANGUAGE, layers: 1}}]
+n_gpus_per_node: 1
+n_slots_per_gpu: 2
+"""
+
+
+def write_meta(path, root, src_tpl="{lang_pair}.{src_lang}", tgt_tpl="{lang_pair}.{tgt_lang}"):
+    path.write_text(META_LANGS_BG_EN.format(root=root, src_tpl=src_tpl, tgt_tpl=tgt_tpl))
+    return load_meta_config(str(path))
+
+
+def write_corpus(corpus, pairs=("bg-en", "en-bg")):
+    corpus.mkdir(parents=True, exist_ok=True)
+    for pair in pairs:
+        for lang in pair.split("-"):
+            (corpus / f"{pair}.{lang}").write_text("x\n")
+
+
+class TestDefaultProbe:
+    def test_relative_root_resolves_against_meta_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "conf").mkdir()
+        write_corpus(tmp_path / "conf" / "corpus")
+        meta = write_meta(tmp_path / "conf" / "meta.yaml", "corpus")
+        monkeypatch.chdir(tmp_path)  # not the meta file's directory
+        assert meta.corpus_root == str(tmp_path / "conf" / "corpus")
+        probe = default_probe(meta.corpus_root)
+        assert probe("bg-en.bg") and not probe("bg-en.de")
+        assert sorted(generate(meta).tasks) == ["train_bg-en", "train_en-bg"]
+
+    def test_root_with_trailing_slash(self, tmp_path):
+        write_corpus(tmp_path / "corpus")
+        probe = default_probe(str(tmp_path / "corpus") + "/")
+        assert probe("bg-en.bg") and probe("en-bg.en")
+        assert not probe("bg-en.de")
+
+    def test_absolute_template_path_ignores_root(self, tmp_path):
+        write_corpus(tmp_path / "elsewhere")
+        (tmp_path / "corpus").mkdir()
+        probe = default_probe(str(tmp_path / "corpus"))
+        assert probe(str(tmp_path / "elsewhere" / "bg-en.bg"))
+        meta = write_meta(
+            tmp_path / "meta.yaml",
+            "corpus",
+            src_tpl=f"{tmp_path}/elsewhere/{{lang_pair}}.{{src_lang}}",
+            tgt_tpl=f"{tmp_path}/elsewhere/{{lang_pair}}.{{tgt_lang}}",
+        )
+        cfg = generate(meta)
+        assert cfg.tasks["train_bg-en"].src_path == f"{tmp_path}/elsewhere/bg-en.bg"
+
+    def test_missing_root(self, tmp_path):
+        meta = write_meta(tmp_path / "meta.yaml", "no-such-dir")
+        assert not default_probe(meta.corpus_root)("bg-en.bg")
+        with pytest.raises(ConfigError, match=r"^\[discovery\] empty task set"):
+            generate(meta)
+
+    def test_broken_symlink(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, pairs=("en-bg",))
+        (corpus / "bg-en.bg").symlink_to(tmp_path / "gone.bg")
+        (corpus / "bg-en.en").symlink_to(corpus / "en-bg.en")
+        probe = default_probe(str(corpus))
+        assert not probe("bg-en.bg")
+        assert probe("bg-en.en")  # a symlink to a file is followed
+        meta = write_meta(tmp_path / "meta.yaml", "corpus")
+        assert sorted(generate(meta).tasks) == ["train_en-bg"]
+
+    def test_directory_is_not_a_corpus(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, pairs=("en-bg",))
+        (corpus / "bg-en.bg").mkdir()
+        (corpus / "bg-en.en").write_text("x\n")
+        probe = default_probe(str(corpus))
+        assert not probe("bg-en.bg") and not probe("")
+        meta = write_meta(tmp_path / "meta.yaml", "corpus")
+        assert sorted(generate(meta).tasks) == ["train_en-bg"]
+
+
+def test_meta_loading_does_not_import_numpy(tmp_path):
+    # numpy would add about 0.15 s to every command's start-up; only the
+    # simulator needs it
+    meta = tmp_path / "meta.yaml"
+    write_meta(meta, "corpus")
+    code = (
+        "import sys\n"
+        "import mmtplan\n"
+        "from mmtplan import configgen\n"
+        f"configgen.load_meta_config({str(meta)!r})\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(configgen.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
