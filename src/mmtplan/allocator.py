@@ -20,18 +20,19 @@ weights are constants, not options.  Local search never recomputes that
 sum: it keeps, per module, how many of the module's tasks sit on each
 device and on each node, and scores a move by the change in span of the
 moving task's modules only (the incremental gain update of Kernighan-Lin
-and Fiduccia-Mattheyses).  `CostContext.cost` is the full recomputation,
-used by `comm_cost` and as the oracle for the incremental scores.
+and Fiduccia-Mattheyses).  `CostContext` is the one module index; its
+`cost` is the full recomputation, the oracle for the incremental scores.
 """
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import ClusterTopology, DeviceId, ModuleKey, TaskSpec
-from .sharing import ModuleInfo
+from .sharing import ModuleInfo, enumerate_modules
 
 W_INTRA = 1.0
 W_INTER = 4.0
@@ -56,8 +57,8 @@ class CommCost:
 class CostContext:
     """One task/module structure over integer ids: tasks sorted by id,
     modules sorted by key, devices in `topo.devices()` order.  Placements
-    are lists of device indices, one per task.  The simulator numbers
-    modules and finds their hosting devices through this index too."""
+    are lists of device indices, one per task.  The warm start, local
+    search, `comm_cost` and the simulator all number modules through it."""
 
     def __init__(
         self,
@@ -70,9 +71,7 @@ class CostContext:
         self.module_keys = sorted(modules)
         self.params = [float(modules[k].n_params) for k in self.module_keys]
         module_id = {k: m for m, k in enumerate(self.module_keys)}
-        self.task_modules = [
-            [module_id[k] for k in task.modules()] for task in self.tasks
-        ]
+        self.task_modules = [[module_id[k] for k in task.modules()] for task in self.tasks]
         self.dev_node = [d.node for d in topo.devices()]
 
     def placement_list(self, placement: Mapping[str, DeviceId]) -> list[int]:
@@ -186,8 +185,8 @@ def initial_assignment(
 
     The first `used` devices in `topo.devices()` (node-major) are used, as
     many as the curriculum cover allows, with blocks of base or base+1
-    tasks.  A task's group is its heaviest module (by layer count, ties to
-    the lower module id) that not every task shares.  Groups go whole into
+    tasks.  A task's group is its heaviest module (by `CostContext.params`,
+    ties to the lower module id) that not every task shares.  Groups go whole into
     nodes best-fit-decreasing; the tasks of groups that fit no node fill
     the remaining node capacity in node order.  Inside a node, tasks are
     sorted by sharing signature and cut into that node's device blocks.  A
@@ -209,33 +208,21 @@ def initial_assignment(
         )
     used = min(topo.n_devices, n, n_step0)
 
-    # integer module ids in ModuleKey order, so id signatures sort as key
-    # ones do; each key is hashed once, as comparing keys is slow
-    seen: dict[ModuleKey, int] = {}
-    task_ids = [[seen.setdefault(k, len(seen)) for k in t.modules()] for t in tasks]
-    module_id = [0] * len(seen)
-    for m, k in enumerate(sorted(seen)):
-        module_id[seen[k]] = m
-    layers = [0] * len(seen)
-    sharers = [0] * len(seen)
-    for t, ids in zip(tasks, task_ids):
-        ids[:] = [module_id[m] for m in ids]
-        for m, n_layers in zip(ids, t.enc_layers + t.dec_layers):
-            layers[m] = n_layers
-            sharers[m] += 1
+    ctx = CostContext(tasks, enumerate_modules(tasks), topo)
+    sharers = Counter(m for mods in ctx.task_modules for m in mods)
 
     rng = random.Random(seed)
-    shuffled = sorted(range(n), key=lambda i: tasks[i].id)
+    shuffled = list(range(n))  # positions in ctx.tasks, which is sorted by id
     rng.shuffle(shuffled)
     # stable: seeded order within equal signatures; task p of `order` is
     # p-th in signature order, so sorting positions sorts by signature
-    shuffled.sort(key=lambda i: sorted(task_ids[i]))
-    order = [tasks[i] for i in shuffled]
+    shuffled.sort(key=lambda t: sorted(ctx.task_modules[t]))
+    order = [ctx.tasks[t] for t in shuffled]
 
     groups: dict[int, list[int]] = {}
-    for p, i in enumerate(shuffled):
-        own = [m for m in task_ids[i] if sharers[m] < n]
-        key = min(own, key=lambda m: (-layers[m], m), default=-1)
+    for p, t in enumerate(shuffled):
+        own = [m for m in ctx.task_modules[t] if sharers[m] < n]
+        key = min(own, key=lambda m: (-ctx.params[m], m), default=-1)
         groups.setdefault(key, []).append(p)
 
     devices = topo.devices()[:used]

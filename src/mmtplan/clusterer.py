@@ -25,10 +25,11 @@ class LanguageDistanceMatrix:
             check_language(lang)
         if len(self.d) != n or any(len(row) != n for row in self.d):
             raise ValueError("distance matrix is not square")
+        # each pair once: a NaN or negative entry below the diagonal fails the mirror test
         for i in range(n):
             if self.d[i][i] != 0.0:
                 raise ValueError("distance matrix diagonal must be zero")
-            for j in range(n):
+            for j in range(i + 1, n):
                 v = self.d[i][j]
                 if not math.isfinite(v) or v < 0:
                     raise ValueError("distances must be finite and non-negative")

@@ -39,7 +39,22 @@ from .sharing import (
 
 # libyaml's loader and dumper where PyYAML was built with it; the
 # pure-Python classes, which give the same documents and bytes, elsewhere.
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """A repeated mapping key is an error, not last-wins; `<<` merged keys may
+    be overridden.  Names SafeConstructor, so it fits the pure-Python loader too."""
+
+    def construct_mapping(self, node, deep=False):
+        pairs = node.value[:]  # before `<<` merges are flattened in
+        mapping = yaml.constructor.SafeConstructor.construct_mapping(self, node, deep)
+        first = {}
+        for key_node in [k for k, _ in pairs if k.tag != "tag:yaml.org,2002:merge"]:
+            key = self.construct_object(key_node)
+            if first.setdefault(key, key_node) is not key_node:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key!r}", key_node.start_mark)
+        return mapping
+
+
 YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 # Line width for `emit`: no scalar is folded.  The two dumpers fold a long
 # quoted string at different places, so folding would make the bytes

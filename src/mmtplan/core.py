@@ -11,7 +11,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 _LANG_RE = re.compile(r"[a-z0-9_]+")
 _DEVICE_RE = re.compile(r"(-?[0-9]+):(-?[0-9]+)")
@@ -60,13 +60,13 @@ def task_id(src: str, tgt: str) -> str:
     return f"train_{src}-{tgt}"
 
 
-@dataclass(frozen=True, order=True)
-class ModuleKey:
+class ModuleKey(NamedTuple):
     """Identity of a shareable parameter block.
 
     Two keys denote the same parameter block iff side, position and group
     name are all equal: sharing is positionwise, so encoder groups [x, y]
-    and [y, x] yield four distinct modules.
+    and [y, x] yield four distinct modules.  A key is a plain tuple, so it
+    orders by (side, position, group) and hashes and compares in C.
     """
 
     side: Side

@@ -119,13 +119,9 @@ def enumerate_modules(tasks: Iterable[TaskSpec]) -> dict[ModuleKey, ModuleInfo]:
     """
     inventory: dict[ModuleKey, int] = {}
     for task in tasks:
-        for key, n_layers in zip(
-            task.enc_modules + task.dec_modules, task.enc_layers + task.dec_layers
-        ):
-            seen = inventory.get(key)
-            if seen is None:
-                inventory[key] = n_layers
-            elif seen != n_layers:
+        for key, n_layers in zip(task.modules(), task.enc_layers + task.dec_layers):
+            seen = inventory.setdefault(key, n_layers)
+            if seen != n_layers:
                 raise ValueError(
                     f"conflicting layer counts for module {key}: {seen} vs {n_layers}"
                 )

@@ -59,9 +59,15 @@ def task_factory():
     return make_task
 
 
+class PurePythonLoader(yaml.SafeLoader):
+    """`configgen.YAML_LOADER`'s rules on the pure-Python base class."""
+
+    construct_mapping = configgen.YAML_LOADER.construct_mapping
+
+
 @pytest.fixture
 def pure_python_yaml(monkeypatch):
     """Have `configgen` load and dump YAML with the pure-Python classes,
     the ones that run where PyYAML has no libyaml."""
-    monkeypatch.setattr(configgen, "YAML_LOADER", yaml.SafeLoader)
+    monkeypatch.setattr(configgen, "YAML_LOADER", PurePythonLoader)
     monkeypatch.setattr(configgen, "YAML_DUMPER", yaml.SafeDumper)

@@ -256,6 +256,17 @@ class TestInitialAssignment:
             assert len(language) == 5
             assert all(len(n) == 1 for n in language.values())
 
+    def test_conflicting_layer_counts_name_the_module(self):
+        topo = ClusterTopology(1, 2, 2)
+        tasks = [
+            make_task("aa", "zz", ["aa", "full"], ["zz"], enc_layers=(1, 2)),
+            make_task("bb", "zz", ["bb", "full"], ["zz"], enc_layers=(1, 3)),
+        ]
+        with pytest.raises(ValueError) as exc:
+            initial_assignment(tasks, topo)
+        assert not isinstance(exc.value, AllocationError)
+        assert str(exc.value) == "conflicting layer counts for module encoder:1:full: 2 vs 3"
+
     def test_cover_repair_takes_same_node_donor(self):
         # groups a..d of two tasks fill devices 0:0, 0:1, 1:0, 1:1 in turn;
         # the d block on node 1 has no step-0 task, and both the a block

@@ -390,6 +390,39 @@ class TestBadInput:
         assert main([command, str(out)]) == 1
         assert "invalid YAML" in one_error_line(capsys, "parse")
 
+    # PyYAML keeps the last of two equal keys; a repeat is an error instead,
+    # with libyaml's loader and with the pure-Python one
+    @pytest.mark.parametrize("loader", ["default", "pure_python_yaml"])
+    @pytest.mark.parametrize("repeat", ["task id", "task field"])
+    def test_repeated_key_in_full_config(self, workspace, capsys, request, loader, repeat):
+        out = generated(workspace)
+        text = out.read_text()
+        if repeat == "task id":
+            block = re.search(r"^  train_de-en:\n(?:    .*\n)+", text, re.M)[0]
+            text += block
+            key = "'train_de-en'"
+        else:
+            assert "    node_gpu: 0:0\n" in text
+            text = text.replace("    node_gpu: 0:0\n", "    node_gpu: 0:0\n    node_gpu: 0:1\n", 1)
+            key = "'node_gpu'"
+        out.write_text(text)
+        if loader != "default":
+            request.getfixturevalue(loader)
+        capsys.readouterr()
+        assert main(["validate", str(out)]) == 1
+        err = one_error_line(capsys, "parse")
+        assert "invalid YAML" in err and f"found duplicate key {key}" in err
+
+    @pytest.mark.parametrize("loader", ["default", "pure_python_yaml"])
+    def test_repeated_meta_key(self, workspace, capsys, request, loader):
+        meta = workspace / "meta.yaml"
+        meta.write_text(META_YAML + "langs: [bg, en]\n")
+        if loader != "default":
+            request.getfixturevalue(loader)
+        assert main(["generate", str(meta)]) == 1
+        err = one_error_line(capsys, "meta")
+        assert "invalid YAML" in err and "found duplicate key 'langs'" in err
+
     def test_non_utf8_meta(self, workspace, capsys):
         meta = workspace / "meta.yaml"
         meta.write_bytes(META_YAML.encode() + b"noise_transform: b\xe4rt\n")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -90,6 +91,44 @@ class TestValidation:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             LanguageDistanceMatrix(("aa", "bb"), ((0.0, float("nan")), (float("nan") , 0.0)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_lower_triangle_fault_is_asymmetry(self, bad):
+        d = ((0.0, 1.0, 2.0), (1.0, 0.0, 3.0), (2.0, bad, 0.0))
+        with pytest.raises(ValueError, match="must be symmetric"):
+            LanguageDistanceMatrix(("aa", "bb", "cc"), d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from([0.0, 1.0, 2.0, -1.0, float("nan"), float("inf")]),
+                         min_size=n, max_size=n),
+                min_size=n, max_size=n,
+            )
+        )
+    )
+    def test_first_error_as_full_scan(self, rows):
+        # the rule that checks every ordered pair, as an oracle
+        def full_scan(d):
+            n = len(d)
+            for i in range(n):
+                if d[i][i] != 0.0:
+                    return "distance matrix diagonal must be zero"
+                for j in range(n):
+                    if not math.isfinite(d[i][j]) or d[i][j] < 0:
+                        return "distances must be finite and non-negative"
+                    if d[i][j] != d[j][i]:
+                        return "distance matrix must be symmetric"
+            return None
+
+        langs = tuple(f"l{i}" for i in range(len(rows)))
+        try:
+            LanguageDistanceMatrix(langs, tuple(map(tuple, rows)))
+            error = None
+        except ValueError as exc:
+            error = str(exc)
+        assert error == full_scan(rows)
 
     def test_k_out_of_range(self):
         m = matrix_from(["aa", "bb"], lambda a, b: 1.0)

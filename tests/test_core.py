@@ -62,6 +62,23 @@ class TestModuleKey:
     def test_side_matters(self):
         assert ModuleKey(Side.ENCODER, 0, "x") != ModuleKey(Side.DECODER, 0, "x")
 
+    def test_sorts_by_side_position_group(self):
+        keys = [
+            ModuleKey(Side.ENCODER, 1, "a"),
+            ModuleKey(Side.DECODER, 2, "z"),
+            ModuleKey(Side.ENCODER, 0, "b"),
+            ModuleKey(Side.ENCODER, 0, "a"),
+            ModuleKey(Side.DECODER, 10, "a"),
+        ]
+        assert [str(k) for k in sorted(keys)] == [
+            "decoder:2:z", "decoder:10:a", "encoder:0:a", "encoder:0:b", "encoder:1:a",
+        ]
+
+    def test_hashes_and_compares_in_c(self):
+        # no Python-level __hash__/__eq__ runs on a dict lookup by key
+        assert ModuleKey.__hash__ is tuple.__hash__ and ModuleKey.__eq__ is tuple.__eq__
+        assert Side.__hash__ is str.__hash__ and Side.__eq__ is str.__eq__
+
 
 class TestDeviceId:
     @pytest.mark.parametrize(
