@@ -22,6 +22,8 @@ device and on each node, and scores a move by the change in span of the
 moving task's modules only (the incremental gain update of Kernighan-Lin
 and Fiduccia-Mattheyses).  `CostContext` is the one module index; its
 `cost` is the full recomputation, the oracle for the incremental scores.
+A run builds it once: `warm_start` and `local_search` take it and work on
+placements as lists of device indices, one per task of `ctx.tasks`.
 """
 from __future__ import annotations
 
@@ -86,6 +88,11 @@ class CostContext:
                 )
             out.append(self.topo.flat(dev))
         return out
+
+    def placement(self, task_dev: Sequence[int]) -> dict[str, DeviceId]:
+        """The inverse of `placement_list`: task id to device."""
+        devices = self.topo.devices()
+        return {task.id: devices[d] for task, d in zip(self.tasks, task_dev)}
 
     def hosts(self, task_dev: Sequence[int]) -> list[set[int]]:
         """Per module, the set of devices hosting at least one of its tasks."""
@@ -180,8 +187,15 @@ def comm_cost(
 def initial_assignment(
     tasks: Sequence[TaskSpec], topo: ClusterTopology, seed: int = 0
 ) -> Assignment:
+    """`warm_start` on a module index of its own."""
+    ctx = CostContext(tasks, enumerate_modules(tasks), topo)
+    return Assignment(ctx.placement(warm_start(ctx, seed)))
+
+
+def warm_start(ctx: CostContext, seed: int) -> list[int]:
     """Two-level greedy warm start: whole task groups to nodes first, then
-    signature blocks to the devices of each node.
+    signature blocks to the devices of each node.  Returns a device index
+    per task of `ctx.tasks`.
 
     The first `used` devices in `topo.devices()` (node-major) are used, as
     many as the curriculum cover allows, with blocks of base or base+1
@@ -192,14 +206,16 @@ def initial_assignment(
     sorted by sharing signature and cut into that node's device blocks.  A
     block without a step-0 task swaps in one from a block of the same node
     where there is one.  The seed orders tasks of equal signature."""
-    n = len(tasks)
+    topo = ctx.topo
+    n = len(ctx.tasks)
     if n == 0:
-        return Assignment({})
+        return []
     capacity = topo.n_devices * topo.n_slots_per_gpu
     if n > capacity:
         raise AllocationError(f"{n} tasks exceed {capacity} total slots")
 
-    n_step0 = sum(1 for t in tasks if t.introduce_at_training_step == 0)
+    step0 = [t.introduce_at_training_step == 0 for t in ctx.tasks]
+    n_step0 = sum(step0)
     min_gpus = math.ceil(n / topo.n_slots_per_gpu)
     if n_step0 < min_gpus:
         raise AllocationError(
@@ -208,29 +224,27 @@ def initial_assignment(
         )
     used = min(topo.n_devices, n, n_step0)
 
-    ctx = CostContext(tasks, enumerate_modules(tasks), topo)
     sharers = Counter(m for mods in ctx.task_modules for m in mods)
 
     rng = random.Random(seed)
-    shuffled = list(range(n))  # positions in ctx.tasks, which is sorted by id
-    rng.shuffle(shuffled)
+    order = list(range(n))  # positions in ctx.tasks, which is sorted by id
+    rng.shuffle(order)
     # stable: seeded order within equal signatures; task p of `order` is
     # p-th in signature order, so sorting positions sorts by signature
-    shuffled.sort(key=lambda t: sorted(ctx.task_modules[t]))
-    order = [ctx.tasks[t] for t in shuffled]
+    order.sort(key=lambda t: sorted(ctx.task_modules[t]))
 
     groups: dict[int, list[int]] = {}
-    for p, t in enumerate(shuffled):
+    for p, t in enumerate(order):
         own = [m for m in ctx.task_modules[t] if sharers[m] < n]
         key = min(own, key=lambda m: (-ctx.params[m], m), default=-1)
         groups.setdefault(key, []).append(p)
 
-    devices = topo.devices()[:used]
+    node = ctx.dev_node  # devices 0..used-1 are the first `used` of topo.devices()
     base, rem = divmod(n, used)
     sizes = [base + (1 if b < rem else 0) for b in range(used)]
     free = [0] * topo.n_nodes
-    for dev, size in zip(devices, sizes):
-        free[dev.node] += size
+    for d, size in enumerate(sizes):
+        free[node[d]] += size
     on_node: list[list[int]] = [[] for _ in free]
     loose: list[int] = []
     for _, members in sorted(groups.items(), key=lambda g: (-len(g[1]), g[0])):
@@ -247,41 +261,40 @@ def initial_assignment(
 
     for members in on_node:
         members.sort()
-    blocks: list[list[TaskSpec]] = []
-    for dev, size in zip(devices, sizes):
-        members = on_node[dev.node]
+    blocks: list[list[int]] = []
+    for d, size in enumerate(sizes):
+        members = on_node[node[d]]
         blocks.append([order[p] for p in members[:size]])
         del members[:size]
 
     # repair curriculum cover: move a spare step-0 task into uncovered
     # blocks, from a block on the same node where one has a spare
-    n0 = [sum(t.introduce_at_training_step == 0 for t in block) for block in blocks]
+    n0 = [sum(step0[t] for t in block) for block in blocks]
     for b, block in enumerate(blocks):
         if n0[b]:
             continue
         donors = [o for o in range(used) if n0[o] >= 2]
         if not donors:
             raise AllocationError("unable to cover every used GPU with a step-0 task")
-        o = min(donors, key=lambda o: devices[o].node != devices[b].node)
-        spare = next(t for t in blocks[o] if t.introduce_at_training_step == 0)
-        delayed = next(t for t in block if t.introduce_at_training_step > 0)
+        o = min(donors, key=lambda o: node[o] != node[b])
+        spare = next(t for t in blocks[o] if step0[t])
+        delayed = next(t for t in block if not step0[t])
         block[block.index(delayed)] = spare
         blocks[o][blocks[o].index(spare)] = delayed
         n0[b] += 1
         n0[o] -= 1
 
-    return Assignment({t.id: dev for dev, block in zip(devices, blocks) for t in block})
+    task_dev = [0] * n
+    for d, block in enumerate(blocks):
+        for t in block:
+            task_dev[t] = d
+    return task_dev
 
 
-def local_search(
-    a0: Assignment,
-    tasks: Sequence[TaskSpec],
-    modules: Mapping[ModuleKey, ModuleInfo],
-    topo: ClusterTopology,
-    budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
-) -> Assignment:
-    """First-improvement hill climbing over relocations and swaps.
+def local_search(ctx: CostContext, task_dev: list[int], budget: int, seed: int) -> None:
+    """First-improvement hill climbing over relocations and swaps of the
+    placement `task_dev` (a device index per task of `ctx.tasks`), which
+    it improves in place.
 
     A move is accepted iff it strictly decreases the communication cost
     and keeps the assignment feasible (capacity and curriculum cover).
@@ -290,14 +303,11 @@ def local_search(
     t1 < t2 (swaps); the order restarts after every accepted move, and
     draws that are not valid moves are skipped.  Stops at a local optimum
     (the whole order drawn without an improvement) or after `budget`
-    scored moves; the result never costs more than the input.  Raises
-    AllocationError if a task of the input sits outside the topology.
+    scored moves; the result never costs more than the input.
     """
-    ctx = CostContext(tasks, modules, topo)
-    task_dev = ctx.placement_list(a0.placement)
     n_tasks = len(ctx.tasks)
-    n_dev = topo.n_devices
-    slots = topo.n_slots_per_gpu
+    n_dev = ctx.topo.n_devices
+    slots = ctx.topo.n_slots_per_gpu
     spans = SpanCounts(ctx, task_dev) if budget > 0 else None
 
     is_step0 = [t.introduce_at_training_step == 0 for t in ctx.tasks]
@@ -370,6 +380,3 @@ def local_search(
                 displaced.clear()
             else:
                 spans.move(t1, d1)
-
-    devices = topo.devices()
-    return Assignment({task.id: devices[d] for task, d in zip(ctx.tasks, task_dev)})

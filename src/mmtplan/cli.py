@@ -52,20 +52,14 @@ def _cmd_allocate(args) -> int:
         raise configgen.ConfigError(
             "allocation", f"tasks without device: {', '.join(missing)}"
         )
-    modules = enumerate_modules(tasks)
-    before = allocator.Assignment({t.id: t.device for t in tasks})
-    cost_before = allocator.comm_cost(before, tasks, modules, cfg.topology)
-    after = allocator.local_search(
-        before, tasks, modules, cfg.topology, budget=args.budget, seed=args.seed
-    )
-    cost_after = allocator.comm_cost(after, tasks, modules, cfg.topology)
-    print(f"cost before: {cost_before.total:.6g}")
-    print(f"cost after:  {cost_after.total:.6g}")
+    ctx = allocator.CostContext(tasks, enumerate_modules(tasks), cfg.topology)
+    task_dev = ctx.placement_list({t.id: t.device for t in tasks})
+    print(f"cost before: {ctx.cost(task_dev):.6g}")
+    allocator.local_search(ctx, task_dev, args.budget, args.seed)
+    print(f"cost after:  {ctx.cost(task_dev):.6g}")
     if args.output:
-        placed = {
-            tid: task.with_device(after.placement[tid])
-            for tid, task in cfg.tasks.items()
-        }
+        placement = ctx.placement(task_dev)
+        placed = {tid: task.with_device(placement[tid]) for tid, task in cfg.tasks.items()}
         new_cfg = configgen.FullConfig(
             placed, cfg.enc_layers, cfg.dec_layers, cfg.topology
         )

@@ -292,24 +292,16 @@ def generate(
         )
 
     try:
-        modules = enumerate_modules(tasks.values())
-        a0 = allocator.initial_assignment(
-            list(tasks.values()), meta.topology, seed=meta.seed
+        ctx = allocator.CostContext(
+            list(tasks.values()), enumerate_modules(tasks.values()), meta.topology
         )
-        best = allocator.local_search(
-            a0,
-            list(tasks.values()),
-            modules,
-            meta.topology,
-            budget=meta.search_budget,
-            seed=meta.seed,
-        )
+        task_dev = allocator.warm_start(ctx, meta.seed)
+        allocator.local_search(ctx, task_dev, meta.search_budget, meta.seed)
     except (allocator.AllocationError, ValueError) as exc:
         raise ConfigError("allocation", str(exc)) from exc
 
-    placed = {
-        tid: task.with_device(best.placement[tid]) for tid, task in tasks.items()
-    }
+    placement = ctx.placement(task_dev)
+    placed = {tid: task.with_device(placement[tid]) for tid, task in tasks.items()}
     violations = validate_config(list(placed.values()), meta.topology)
     if violations:
         raise ConfigError("validation", "; ".join(violations))

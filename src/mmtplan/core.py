@@ -77,8 +77,9 @@ class ModuleKey(NamedTuple):
         return f"{self.side.value}:{self.position}:{self.group}"
 
 
-@dataclass(frozen=True, order=True)
-class DeviceId:
+class DeviceId(NamedTuple):
+    """One GPU: a plain tuple, ordered node-major, that hashes and compares in C."""
+
     node: int
     gpu: int
 
@@ -226,7 +227,8 @@ def validate_config(tasks: list[TaskSpec], topo: ClusterTopology) -> list[str]:
     reported, never raised; the result is independent of task order.
     """
     violations: list[str] = []
-    for task in sorted(tasks, key=lambda t: t.id):
+    by_id = sorted(tasks, key=lambda t: t.id)
+    for task in by_id:
         violations.extend(validate_task(task))
 
     for dup, n in sorted(Counter(t.id for t in tasks).items()):
@@ -254,7 +256,7 @@ def validate_config(tasks: list[TaskSpec], topo: ClusterTopology) -> list[str]:
                 violations.append(f"{side} layer count {n} is not in 1..{MAX_LAYERS}")
 
     per_device: dict[DeviceId, list[TaskSpec]] = {}
-    for task in sorted(tasks, key=lambda t: t.id):
+    for task in by_id:
         if task.device is None:
             continue
         if not topo.contains(task.device):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 import yaml
 
-from mmtplan import configgen
+from mmtplan import allocator, configgen
 from mmtplan.core import DeviceId, ModuleKey, Side, TaskSpec, task_id
 from mmtplan.sharing import enumerate_modules
 
@@ -52,6 +52,15 @@ def modules_at(tasks, params_per_layer):
         key: replace(info, n_params=info.n_layers * params_per_layer)
         for key, info in enumerate_modules(tasks).items()
     }
+
+
+def search(a0, tasks, modules, topo, budget=allocator.DEFAULT_BUDGET, seed=0):
+    """`allocator.local_search` from assignment `a0` on a module index of
+    `tasks` and `modules`; returns the searched assignment."""
+    ctx = allocator.CostContext(tasks, modules, topo)
+    task_dev = ctx.placement_list(a0.placement)
+    allocator.local_search(ctx, task_dev, budget, seed)
+    return allocator.Assignment(ctx.placement(task_dev))
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ import pytest
 from mmtplan.allocator import (
     comm_cost,
     initial_assignment,
-    local_search,
 )
 from mmtplan.configgen import assign_transforms, emit, generate, parse
 from mmtplan.core import ClusterTopology, ModuleKey, Side, validate_config
@@ -32,7 +31,7 @@ from mmtplan.syncsim import (
     synthetic_uniform_tasks,
 )
 
-from conftest import make_task, modules_at
+from conftest import make_task, modules_at, search
 from test_allocator import feasible_placements, placed, random_instance
 from test_configgen import all_files_exist, meta_for
 from test_syncsim import run_scenario
@@ -178,7 +177,7 @@ def test_07_allocator_optimality_small_scale():
             )
             a0 = initial_assignment(tasks, topo, seed=seed)
             initial = comm_cost(a0, tasks, modules, topo).total
-            result = local_search(a0, tasks, modules, topo, seed=seed)
+            result = search(a0, tasks, modules, topo, seed=seed)
             final = comm_cost(result, tasks, modules, topo).total
             assert final <= initial
             assert validate_config(placed(result, tasks), topo) == []

@@ -13,12 +13,12 @@ from mmtplan.allocator import (
     SpanCounts,
     comm_cost,
     initial_assignment,
-    local_search,
+    warm_start,
 )
 from mmtplan.core import ClusterTopology, DeviceId, ModuleKey, Side, validate_config
 from mmtplan.sharing import ModuleInfo, enumerate_modules
 
-from conftest import make_task, modules_at
+from conftest import make_task, modules_at, search
 
 
 def random_instance(seed, n_tasks, topo, n_groups=3, allow_delayed=True):
@@ -231,6 +231,22 @@ class TestInitialAssignment:
         sizes = [base + (b < rem) for b in range(used)]
         assert counts == sizes + [0] * (topo.n_devices - used)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+        data=st.data(),
+    )
+    def test_warm_start_is_initial_assignment(self, shape, data):
+        # over integer device indices, whatever the order of the tasks given
+        topo = ClusterTopology(*shape)
+        n = data.draw(st.integers(1, min(topo.n_devices * topo.n_slots_per_gpu, 12)))
+        tasks = random_instance(data.draw(st.integers(0, 10**6)), n, topo)
+        seed = data.draw(st.integers(0, 10**6))
+        ctx = CostContext(tasks[::-1], enumerate_modules(tasks), topo)
+        devices = topo.devices()
+        placement = {t.id: devices[d] for t, d in zip(ctx.tasks, warm_start(ctx, seed))}
+        assert placement == initial_assignment(tasks, topo, seed).placement
+
     @pytest.mark.parametrize(
         "enc_layers, dec_layers, side",
         [((2, 4), (4,), Side.DECODER), ((4, 4), (2,), Side.ENCODER)],
@@ -294,7 +310,7 @@ class TestLocalSearch:
             modules = modules_at(tasks, 10)
             a0 = initial_assignment(tasks, topo, seed=seed)
             before = comm_cost(a0, tasks, modules, topo).total
-            result = local_search(a0, tasks, modules, topo, seed=seed)
+            result = search(a0, tasks, modules, topo, seed=seed)
             after = comm_cost(result, tasks, modules, topo).total
             assert after <= before
             assert validate_config(placed(result, tasks), topo) == []
@@ -307,7 +323,7 @@ class TestLocalSearch:
         ]
         modules = modules_at(tasks, 10)
         a0 = Assignment({tasks[0].id: DeviceId(0, 0), tasks[1].id: DeviceId(0, 1)})
-        assert local_search(a0, tasks, modules, topo).placement == a0.placement
+        assert search(a0, tasks, modules, topo).placement == a0.placement
 
     def test_colocates_shared_decoder(self):
         # two tasks sharing a decoder on different nodes, with a same-node
@@ -318,7 +334,7 @@ class TestLocalSearch:
         modules = modules_at([t1, t2], 10)
         a0 = Assignment({t1.id: DeviceId(0, 0), t2.id: DeviceId(1, 0)})
         before = comm_cost(a0, [t1, t2], modules, topo).total
-        result = local_search(a0, [t1, t2], modules, topo)
+        result = search(a0, [t1, t2], modules, topo)
         after = comm_cost(result, [t1, t2], modules, topo).total
         assert after < before
         devs = set(result.placement.values())
@@ -334,7 +350,7 @@ class TestLocalSearch:
                 for a in feasible_placements(tasks, topo)
             )
             a0 = initial_assignment(tasks, topo, seed=seed)
-            result = local_search(a0, tasks, modules, topo, seed=seed)
+            result = search(a0, tasks, modules, topo, seed=seed)
             assert comm_cost(result, tasks, modules, topo).total == pytest.approx(best)
 
     def test_budget_zero_is_identity(self):
@@ -342,7 +358,7 @@ class TestLocalSearch:
         tasks = random_instance(2, 6, topo)
         modules = modules_at(tasks, 10)
         a0 = initial_assignment(tasks, topo)
-        assert local_search(a0, tasks, modules, topo, budget=0).placement == a0.placement
+        assert search(a0, tasks, modules, topo, budget=0).placement == a0.placement
 
     def test_rejects_start_outside_topology(self):
         topo = ClusterTopology(1, 2, 2)
@@ -352,4 +368,4 @@ class TestLocalSearch:
         for bad in (DeviceId(0, -1), DeviceId(1, 0)):
             a0 = Assignment({t1.id: DeviceId(0, 0), t2.id: bad})
             with pytest.raises(AllocationError, match=f"{t2.id}.*{bad}"):
-                local_search(a0, [t1, t2], modules, topo)
+                search(a0, [t1, t2], modules, topo)

@@ -8,8 +8,10 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from mmtplan.allocator import Assignment, comm_cost
 from mmtplan.cli import main
 from mmtplan.configgen import load_full_config
+from mmtplan.sharing import enumerate_modules
 
 META_YAML = """\
 langs: [bg, de, en]
@@ -681,6 +683,54 @@ class TestAllocate:
         with pytest.raises(SystemExit) as exc:
             main(["allocate", str(out), "--budget", "-4"])
         assert exc.value.code == 2
+
+    @staticmethod
+    def printed_costs(capsys):
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["cost before", "cost after"]
+        return [line.split()[-1] for line in lines]
+
+    @staticmethod
+    def span_cost(path):
+        cfg = load_full_config(str(path))
+        tasks = list(cfg.tasks.values())
+        a = Assignment({t.id: t.device for t in tasks})
+        return f"{comm_cost(a, tasks, enumerate_modules(tasks), cfg.topology).total:.6g}"
+
+    def test_budget_zero_writes_its_input(self, workspace, capsys):
+        plan = generated(workspace)
+        out = workspace / "same.yaml"
+        capsys.readouterr()
+        assert main(["allocate", str(plan), "--budget", "0", "-o", str(out)]) == 0
+        before, after = self.printed_costs(capsys)
+        assert before == after == self.span_cost(plan)
+        assert out.read_bytes() == plan.read_bytes()
+
+    def test_printed_costs_are_those_of_the_plans(self, workspace, capsys):
+        # the generated plan with its tasks dealt alternately to the two
+        # devices, which local search then improves
+        plan = generated(workspace)
+        doc = yaml.safe_load(plan.read_text())
+        for i, tid in enumerate(sorted(doc["tasks"])):
+            doc["tasks"][tid]["node_gpu"] = f"0:{i % 2}"
+        plan.write_text(yaml.safe_dump(doc))
+        out = workspace / "searched.yaml"
+        capsys.readouterr()
+        assert main(["allocate", str(plan), "-o", str(out)]) == 0
+        before, after = self.printed_costs(capsys)
+        assert before == self.span_cost(plan) and after == self.span_cost(out)
+        assert float(after) < float(before)
+
+    def test_task_without_device(self, workspace, capsys):
+        plan = generated(workspace)
+        doc = yaml.safe_load(plan.read_text())
+        del doc["tasks"]["train_de-en"]["node_gpu"]
+        plan.write_text(yaml.safe_dump(doc))
+        capsys.readouterr()
+        assert main(["allocate", str(plan)]) == 1
+        assert one_error_line(capsys, "allocation") == (
+            "error: [allocation] tasks without device: train_de-en\n"
+        )
 
 
 class TestSimulate:

@@ -9,7 +9,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_task
-from mmtplan import configgen
+from mmtplan import allocator, configgen, sharing
 from mmtplan.configgen import (
     AdapterSpec,
     ConfigError,
@@ -229,6 +229,31 @@ class TestGenerate:
             "train_fi-de": "1:1",
             "train_fi-en": "1:1",
         }
+
+
+    def test_builds_one_module_index(self, monkeypatch):
+        # the warm start and local search share one module inventory and
+        # one CostContext
+        calls = {"enumerate_modules": 0, "CostContext": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (configgen, allocator):
+            monkeypatch.setattr(
+                module, "enumerate_modules", counted("enumerate_modules", sharing.enumerate_modules)
+            )
+        monkeypatch.setattr(
+            allocator.CostContext, "__init__", counted("CostContext", allocator.CostContext.__init__)
+        )
+        arch = ArchSpec(((SP.LANGUAGE, 2), (SP.FULL, 4)), ((SP.LANGUAGE, 4),))
+        meta = meta_for(["bg", "de", "en", "fi"], arch=arch, topology=ClusterTopology(3, 2, 2))
+        generate(meta, all_files_exist)
+        assert calls == {"enumerate_modules": 1, "CostContext": 1}
 
 
 class TestRoundTrip:

@@ -87,6 +87,14 @@ class TestDeviceId:
     def test_reads_ascii_integers(self, text, node, gpu):
         assert DeviceId.parse(text) == DeviceId(node, gpu)
 
+    def test_is_a_tuple_ordered_node_major(self):
+        devices = [DeviceId(1, 0), DeviceId(0, 3), DeviceId(0, -1), DeviceId(10, 2)]
+        assert [str(d) for d in sorted(devices)] == ["0:-1", "0:3", "1:0", "10:2"]
+        assert [DeviceId.parse(str(d)) for d in devices] == devices
+        assert hash(DeviceId.parse("2:1")) == hash(DeviceId(2, 1))
+        # hashed and ordered in C, as a plain tuple
+        assert DeviceId.__hash__ is tuple.__hash__ and DeviceId.__lt__ is tuple.__lt__
+
     # int() alone reads the first three as 10:0, 1:0 and 1:0
     @pytest.mark.parametrize(
         "text", [" 1_0:0", "\u0661:\u0660", "+1:0", "1 :0", "0:1\n", "1:0:0", "x", ":", "0:", ""]
