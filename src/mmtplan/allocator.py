@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import ClusterTopology, DeviceId, ModuleKey, TaskSpec
+from .core import ClusterTopology, ConfigError, DeviceId, ModuleKey, TaskSpec
 from .sharing import ModuleInfo, enumerate_modules
 
 W_INTRA = 1.0
@@ -41,8 +41,9 @@ W_INTER = 4.0
 DEFAULT_BUDGET = 10000
 
 
-class AllocationError(ValueError):
-    pass
+class AllocationError(ConfigError):
+    def __init__(self, message: str):
+        super().__init__("allocation", message)
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,12 @@ class CostContext:
         self.dev_node = [d.node for d in topo.devices()]
 
     def placement_list(self, placement: Mapping[str, DeviceId]) -> list[int]:
+        missing = [task.id for task in self.tasks if placement.get(task.id) is None]
+        if missing:
+            raise AllocationError(f"tasks without device: {', '.join(missing)}")
         out = []
         for task in self.tasks:
-            dev = placement.get(task.id)
-            if dev is None:
-                raise AllocationError(f"task {task.id} is not placed")
+            dev = placement[task.id]
             if not self.topo.contains(dev):
                 raise AllocationError(
                     f"task {task.id} is placed on device {dev}, outside the topology"

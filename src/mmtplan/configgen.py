@@ -20,6 +20,7 @@ from .clusterer import load_distance_matrix, cluster_languages
 from .core import (
     MAX_LAYERS,
     ClusterTopology,
+    ConfigError,
     DeviceId,
     ModuleKey,
     Side,
@@ -65,14 +66,6 @@ _UNFOLDED = 2**31 - 1
 # (2001-13-01) or an integer of more than 4300 digits, and libyaml's loader
 # a UnicodeEncodeError (a ValueError) for a str holding a lone surrogate.
 _YAML_ERRORS = (yaml.YAMLError, ValueError)
-
-
-class ConfigError(ValueError):
-    """Pipeline failure, tagged with the stage that produced it."""
-
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"[{stage}] {message}")
-        self.stage = stage
 
 
 _GROUP_PATTERNS = {
@@ -126,10 +119,12 @@ class MetaConfig:
             raise ValueError("temperature must be >= 1")
         if self.search_budget < 0:
             raise ValueError(f"search_budget must be >= 0, got {self.search_budget}")
-        for spec in self.adapters:
+        for i, spec in enumerate(self.adapters):
             bound = len(self.arch.stacks(spec.side))
             if any(p < 0 or p >= bound for p in spec.positions):
                 raise ValueError(f"adapter {spec.name}: position out of arch bounds")
+            if spec.name in (other.name for other in self.adapters[:i]):
+                raise ValueError(f"adapters: duplicate name {spec.name}")
 
 
 @dataclass(frozen=True)
@@ -229,12 +224,8 @@ def generate(
     configuration (and the probe's answers)."""
     probe = file_exists if file_exists is not None else default_probe(meta.corpus_root)
 
-    try:
-        src_tpl = PathTemplate(meta.src_path_template, meta.corpus_mode)
-        tgt_tpl = PathTemplate(meta.tgt_path_template, meta.corpus_mode)
-    except ValueError as exc:
-        raise ConfigError("templates", str(exc)) from exc
-
+    src_tpl = PathTemplate(meta.src_path_template, meta.corpus_mode)
+    tgt_tpl = PathTemplate(meta.tgt_path_template, meta.corpus_mode)
     try:
         pairs = discover_tasks(
             src_tpl, tgt_tpl, meta.languages, probe, include_self_pairs=meta.autoencoder
@@ -249,9 +240,7 @@ def generate(
     groups: Optional[dict[str, str]] = None
     if patterns & _GROUP_PATTERNS:
         if meta.distance_matrix_path is None:
-            raise ConfigError(
-                "clustering", "GROUP sharing patterns require a distance matrix"
-            )
+            raise ConfigError("clustering", "GROUP sharing patterns require a distance matrix")
         try:
             matrix = load_distance_matrix(meta.distance_matrix_path)
             groups = cluster_languages(matrix, meta.n_groups)
@@ -259,9 +248,7 @@ def generate(
             raise ConfigError("clustering", str(exc)) from exc
         missing = set(meta.languages) - set(groups)
         if missing:
-            raise ConfigError(
-                "clustering", f"distance matrix lacks languages: {sorted(missing)}"
-            )
+            raise ConfigError("clustering", f"distance matrix lacks languages: {sorted(missing)}")
 
     ids = {pair: task_id(*pair) for pair in pairs}
     counts = {
@@ -291,14 +278,11 @@ def generate(
             adapters=adapters,
         )
 
-    try:
-        ctx = allocator.CostContext(
-            list(tasks.values()), enumerate_modules(tasks.values()), meta.topology
-        )
-        task_dev = allocator.warm_start(ctx, meta.seed)
-        allocator.local_search(ctx, task_dev, meta.search_budget, meta.seed)
-    except (allocator.AllocationError, ValueError) as exc:
-        raise ConfigError("allocation", str(exc)) from exc
+    ctx = allocator.CostContext(
+        list(tasks.values()), enumerate_modules(tasks.values()), meta.topology
+    )
+    task_dev = allocator.warm_start(ctx, meta.seed)
+    allocator.local_search(ctx, task_dev, meta.search_budget, meta.seed)
 
     placement = ctx.placement(task_dev)
     placed = {tid: task.with_device(placement[tid]) for tid, task in tasks.items()}
@@ -524,8 +508,10 @@ def _get_mappings(doc: dict, key: str, known: frozenset, default=MISSING) -> lis
 
 
 def _distinct_langs(doc: dict) -> tuple[str, ...]:
-    """`langs`, each code at most once."""
+    """`langs`: at least one code, each at most once."""
     langs = _get_list(doc, "langs", str)
+    if not langs:
+        raise ValueError("langs: at least one language code")
     seen = set()
     for lang in langs:
         if lang in seen:

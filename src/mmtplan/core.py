@@ -32,6 +32,15 @@ MAX_DEVICES = 2**16
 MAX_LAYERS = 2**16
 
 
+class ConfigError(ValueError):
+    """A failure tagged with the pipeline stage that produced it; `str()` is
+    `[stage] message`.  Library errors are subclasses that fix their stage."""
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(f"[{stage}] {message}")
+        self.stage = stage
+
+
 class Side(str, Enum):
     ENCODER = "encoder"
     DECODER = "decoder"

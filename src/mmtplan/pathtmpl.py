@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
-from .core import check_language
+from .core import ConfigError, check_language
 
 
 class CorpusMode(str, Enum):
@@ -24,13 +24,18 @@ DIRECTIONAL_VARS = frozenset({"src_lang", "tgt_lang", "lang_pair"})
 SYMMETRIC_VARS = frozenset({"lang_a", "lang_b", "side_a", "side_b", "sorted_pair"})
 
 
-class TemplateError(ValueError):
-    pass
+class TemplateError(ConfigError):
+    def __init__(self, message: str):
+        super().__init__("templates", message)
 
 
 def _placeholders(template: str) -> set[str]:
+    try:
+        fields = list(string.Formatter().parse(template))
+    except ValueError as exc:  # an unbalanced brace
+        raise TemplateError(str(exc)) from None
     names = set()
-    for _, name, spec, conv in string.Formatter().parse(template):
+    for _, name, spec, conv in fields:
         if name is None:
             continue
         if not name or spec or conv or "." in name or "[" in name:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .core import MAX_LAYERS, ModuleKey, Side, TaskSpec
+from .core import MAX_LAYERS, ConfigError, ModuleKey, Side, TaskSpec
 
 # Per-layer parameter count for a d=512, 8-head, ffn=2048 transformer
 # layer: 4 d^2 attention projections + 2 d*ffn feed-forward + norm scales.
@@ -46,8 +46,9 @@ class ArchSpec:
         return self.enc_stacks if side is Side.ENCODER else self.dec_stacks
 
 
-class GroupMapError(KeyError):
-    pass
+class GroupMapError(ConfigError):
+    def __init__(self, message: str):
+        super().__init__("sharing", message)
 
 
 def resolve_group_name(

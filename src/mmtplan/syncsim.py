@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .allocator import CostContext
-from .core import ClusterTopology, ModuleKey, TaskSpec, task_id
+from .core import ClusterTopology, ConfigError, ModuleKey, TaskSpec, task_id
 from .sharing import ArchSpec, SharingPattern, build_module_sequence, enumerate_modules
 
 GRAD_BYTES_PER_PARAM = 4  # float32 on the wire
@@ -39,8 +39,9 @@ READY_ENTRY_BYTES = 4
 COMPUTE_SEC_PER_TOKEN_LAYER = 2e-9
 
 
-class SimulationError(RuntimeError):
-    pass
+class SimulationError(ConfigError):
+    def __init__(self, message: str):
+        super().__init__("simulation", message)
 
 
 @dataclass

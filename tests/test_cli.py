@@ -3,11 +3,14 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import mmtplan
 from mmtplan.allocator import Assignment, comm_cost
 from mmtplan.cli import main
 from mmtplan.configgen import load_full_config
@@ -563,6 +566,99 @@ class TestBadInput:
         )
         assert main(["validate", str(path)]) == 1
         one_error_line(capsys, "parse")
+
+    @pytest.mark.parametrize(
+        "meta_text, stage, message",
+        [
+            pytest.param(
+                META_YAML.replace("train.{src_lang}", "train.{source}"),
+                "templates",
+                "variables ['source'] not allowed in directional mode "
+                "(template '{lang_pair}/train.{source}')",
+                id="templates-unknown-variable",
+            ),
+            pytest.param(
+                META_YAML.replace('"{lang_pair}/train.{src_lang}"', '"{lang_pair"'),
+                "templates",
+                "expected '}' before end of string",
+                id="templates-unbalanced-brace",
+            ),
+            pytest.param(
+                META_YAML.replace("pattern: FULL", "pattern: GROUP"),
+                "clustering",
+                "GROUP sharing patterns require a distance matrix",
+                id="clustering-no-matrix",
+            ),
+            pytest.param(
+                META_YAML_ALL_KEYS.replace("distances.txt", "two_langs.txt"),
+                "clustering",
+                "distance matrix lacks languages: ['en']",
+                id="clustering-matrix-lacks-language",
+            ),
+            pytest.param(
+                META_YAML_ALL_KEYS.replace("distances.txt", "nope.txt"),
+                "clustering",
+                "[Errno 2] No such file or directory: 'ROOT/nope.txt'",
+                id="clustering-missing-matrix-file",
+            ),
+            pytest.param(
+                META_YAML + "line_counts: {train_bg-de: 0}\n",
+                "weighting",
+                "line counts must be >= 1",
+                id="weighting-zero-lines",
+            ),
+            pytest.param(
+                "- " + "\n  ".join(META_YAML.splitlines()) + "\n",
+                "meta",
+                "meta-configuration must be a mapping",
+                id="meta-top-level-list",
+            ),
+        ],
+    )
+    def test_generate_stage_error(self, workspace, capsys, meta_text, stage, message):
+        (workspace / "two_langs.txt").write_text("bg de\n0 0.2\n0.2 0\n")
+        meta = workspace / "meta.yaml"
+        meta.write_text(meta_text)
+        assert main(["generate", str(meta), "-o", str(workspace / "full.yaml")]) == 1
+        message = message.replace("ROOT", str(workspace))
+        assert one_error_line(capsys, stage) == f"error: [{stage}] {message}\n"
+        assert not (workspace / "full.yaml").exists()
+
+    def test_repeated_adapter_name(self, workspace, capsys):
+        # a plan lists each task's adapters by name, so a second `da` would
+        # silently replace the first
+        meta = workspace / "meta.yaml"
+        meta.write_text(
+            META_YAML_ALL_KEYS.replace(
+                "adapters:\n",
+                "adapters:\n  - {name: da, side: encoder, positions: [0], pattern: LANGUAGE}\n",
+            )
+        )
+        assert main(["generate", str(meta)]) == 1
+        assert one_error_line(capsys, "meta") == "error: [meta] adapters: duplicate name da\n"
+
+    def test_no_languages(self, workspace, capsys):
+        meta = workspace / "meta.yaml"
+        meta.write_text(META_YAML.replace("langs: [bg, de, en]", "langs: []"))
+        assert main(["generate", str(meta)]) == 1
+        assert one_error_line(capsys, "meta") == (
+            "error: [meta] langs: at least one language code\n"
+        )
+
+
+def test_cli_import_does_not_import_numpy():
+    # only `simulate` needs numpy; it imports the simulator itself
+    code = (
+        "import sys\n"
+        "import mmtplan.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mmtplan.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
 
 
 # Replacement values for mutated lines: YAML 1.1 traps (no, 2:0), wrong

@@ -9,6 +9,7 @@ from mmtplan.core import (
     MAX_LANG_LEN,
     MAX_LAYERS,
     ClusterTopology,
+    ConfigError,
     DeviceId,
     ModuleKey,
     Side,
@@ -17,6 +18,11 @@ from mmtplan.core import (
     validate_config,
     validate_task,
 )
+
+from mmtplan.allocator import AllocationError
+from mmtplan.pathtmpl import TemplateError
+from mmtplan.sharing import GroupMapError
+from mmtplan.syncsim import SimulationError
 
 from conftest import make_task
 
@@ -272,3 +278,42 @@ class TestAdapterNames:
             f"task train_aa-bb: adapter name {name!r} is not 1-122 printable "
             "ASCII characters"
         ]
+
+
+class TestValidateTask:
+    def test_valid_task(self):
+        assert validate_task(make_task("aa", "bb", ["x"], ["y"])) == []
+
+    def test_id_must_match_languages(self):
+        task = replace(make_task("aa", "bb", ["x"], ["y"]), id="train_bb-aa")
+        assert validate_task(task) == [
+            "task train_bb-aa: id does not match languages (train_aa-bb)"
+        ]
+
+    @pytest.mark.parametrize("side", ["enc_modules", "dec_modules"])
+    def test_each_side_needs_a_module(self, side):
+        task = replace(make_task("aa", "bb", ["x"], ["y"]), **{side: ()})
+        assert validate_task(task) == [
+            "task train_aa-bb: needs at least one module per side"
+        ]
+
+    def test_negative_curriculum_step(self):
+        task = make_task("aa", "bb", ["x"], ["y"], intro=-1)
+        assert validate_task(task) == ["task train_aa-bb: negative curriculum step"]
+
+
+@pytest.mark.parametrize(
+    "cls, stage",
+    [
+        (AllocationError, "allocation"),
+        (SimulationError, "simulation"),
+        (TemplateError, "templates"),
+        (GroupMapError, "sharing"),
+    ],
+)
+def test_library_errors_carry_their_stage(cls, stage):
+    # the CLI prints every library error through its one ConfigError handler
+    exc = cls("went wrong")
+    assert isinstance(exc, ConfigError) and isinstance(exc, ValueError)
+    assert exc.stage == stage
+    assert str(exc) == f"[{stage}] went wrong"
