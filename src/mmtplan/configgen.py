@@ -18,13 +18,14 @@ import yaml
 from . import allocator
 from .clusterer import load_distance_matrix, cluster_languages
 from .core import (
-    MAX_LAYERS,
     ClusterTopology,
     ConfigError,
     DeviceId,
     ModuleKey,
     Side,
     TaskSpec,
+    check_adapter_name,
+    check_language,
     task_id,
     validate_config,
 )
@@ -78,10 +79,14 @@ _GROUP_PATTERNS = {
 @dataclass(frozen=True)
 class CurriculumStage:
     """Tasks whose corpus has fewer than `below_lines` lines are delayed
-    until `start_step`.  The earliest applicable stage wins."""
+    until `start_step`, which is >= 0.  The earliest applicable stage wins."""
 
     start_step: int
     below_lines: int
+
+    def __post_init__(self) -> None:
+        if self.start_step < 0:
+            raise ValueError(f"curriculum: start_step must be >= 0, got {self.start_step}")
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,9 @@ class AdapterSpec:
     side: Side
     positions: tuple[int, ...]
     pattern: SharingPattern
+
+    def __post_init__(self) -> None:
+        check_adapter_name(self.name)
 
 
 @dataclass(frozen=True)
@@ -113,6 +121,15 @@ class MetaConfig:
     search_budget: int = allocator.DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
+        if not self.languages:
+            raise ValueError("langs: at least one language code")
+        seen = set()
+        for lang in self.languages:
+            if check_language(lang) in seen:
+                raise ValueError(f"langs: duplicate language code {lang}")
+            seen.add(lang)
+        if self.n_groups < 1:
+            raise ValueError(f"n_groups must be >= 1, got {self.n_groups}")
         if self.n_groups > len(self.languages):
             raise ValueError("n_groups exceeds number of languages")
         if not self.temperature >= 1:
@@ -226,12 +243,9 @@ def generate(
 
     src_tpl = PathTemplate(meta.src_path_template, meta.corpus_mode)
     tgt_tpl = PathTemplate(meta.tgt_path_template, meta.corpus_mode)
-    try:
-        pairs = discover_tasks(
-            src_tpl, tgt_tpl, meta.languages, probe, include_self_pairs=meta.autoencoder
-        )
-    except ValueError as exc:
-        raise ConfigError("discovery", str(exc)) from exc
+    pairs = discover_tasks(
+        src_tpl, tgt_tpl, meta.languages, probe, include_self_pairs=meta.autoencoder
+    )
     if not pairs:
         raise ConfigError("discovery", "empty task set: no corpus files found")
 
@@ -474,7 +488,7 @@ def parse(text: str | bytes) -> FullConfig:
                 ),
                 transforms=tuple(_get_list(entry, "transforms", str, where, [])),
                 adapters=tuple(sorted(adapters.items())),
-                device=_get(entry, "node_gpu", str, where, default=None, convert=DeviceId.parse),
+                device=_get(entry, "node_gpu", str, where, convert=DeviceId.parse),
             )
     except ValueError as exc:
         raise ConfigError("parse", str(exc)) from None
@@ -507,32 +521,13 @@ def _get_mappings(doc: dict, key: str, known: frozenset, default=MISSING) -> lis
     return items
 
 
-def _distinct_langs(doc: dict) -> tuple[str, ...]:
-    """`langs`: at least one code, each at most once."""
-    langs = _get_list(doc, "langs", str)
-    if not langs:
-        raise ValueError("langs: at least one language code")
-    seen = set()
-    for lang in langs:
-        if lang in seen:
-            raise ValueError(f"langs: duplicate language code {lang}")
-        seen.add(lang)
-    return tuple(langs)
-
-
 def _parse_stacks(doc: dict, key: str) -> tuple[tuple[SharingPattern, int], ...]:
-    """One side's stacks, checked as `ArchSpec` checks them but with the
-    side's key and the stack's index in the message."""
-    stacks = []
-    for i, item in enumerate(_get_mappings(doc, key, _STACK_KEYS)):
-        pattern = _get(item, "pattern", str, f"{key}: ", convert=SharingPattern)
-        layers = _get(item, "layers", int, f"{key}: ")
-        if not 1 <= layers <= MAX_LAYERS:
-            raise ValueError(f"{key}[{i}]: layer count {layers} is not in 1..{MAX_LAYERS}")
-        stacks.append((pattern, layers))
-    if not stacks:
-        raise ValueError(f"{key}: at least one stack")
-    return tuple(stacks)
+    """One side's (pattern, layers) stacks, for `ArchSpec` to check."""
+    where = f"{key}: "
+    return tuple(
+        (_get(s, "pattern", str, where, convert=SharingPattern), _get(s, "layers", int, where))
+        for s in _get_mappings(doc, key, _STACK_KEYS)
+    )
 
 
 def _load_meta_yaml(path: str):
@@ -556,10 +551,10 @@ _ADAPTER_KEYS = frozenset({"name", "side", "positions", "pattern"})
 def load_meta_config(path: str) -> MetaConfig:
     """Read a meta-configuration YAML file.
 
-    Every field is checked for its type, and an unknown key or a language
-    code listed twice is an error.  Relative corpus roots, distance
-    matrices and line-count files are resolved against the meta file's
-    directory.
+    Every field is checked for its type, and an unknown key is an error;
+    the dataclasses that hold the values check their other rules.  Relative
+    corpus roots, distance matrices and line-count files are resolved
+    against the meta file's directory.
     """
     base = os.path.dirname(os.path.abspath(path))
     doc = _load_meta_yaml(path)
@@ -582,7 +577,7 @@ def load_meta_config(path: str) -> MetaConfig:
                 for k, v in _typed(line_counts, dict, "line_counts").items()
             }
         return MetaConfig(
-            languages=_distinct_langs(doc),
+            languages=tuple(_get_list(doc, "langs", str)),
             src_path_template=_get(doc, "src_path_template", str),
             tgt_path_template=_get(doc, "tgt_path_template", str),
             corpus_mode=_get(

@@ -59,6 +59,14 @@ def check_language(code: str) -> str:
     return code
 
 
+def check_adapter_name(name: str) -> None:
+    """An adapter name keys an emitted plan: 1-122 printable ASCII characters."""
+    if not (0 < len(name) <= MAX_ADAPTER_NAME_LEN and name.isascii() and name.isprintable()):
+        raise ValueError(
+            f"adapter name {name!r} is not 1-{MAX_ADAPTER_NAME_LEN} printable ASCII characters"
+        )
+
+
 def task_id(src: str, tgt: str) -> str:
     """Deterministic task identifier for a translation direction.
 
@@ -217,11 +225,10 @@ def validate_task(task: TaskSpec) -> list[str]:
     if task.introduce_at_training_step < 0:
         violations.append(f"task {task.id}: negative curriculum step")
     for name, _ in task.adapters:
-        if not (0 < len(name) <= MAX_ADAPTER_NAME_LEN and name.isascii() and name.isprintable()):
-            violations.append(
-                f"task {task.id}: adapter name {name!r} is not 1-{MAX_ADAPTER_NAME_LEN} "
-                "printable ASCII characters"
-            )
+        try:
+            check_adapter_name(name)
+        except ValueError as exc:
+            violations.append(f"task {task.id}: {exc}")
     return violations
 
 

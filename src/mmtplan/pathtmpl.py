@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
-from .core import ConfigError, check_language
+from .core import ConfigError
 
 
 class CorpusMode(str, Enum):
@@ -65,13 +65,7 @@ class PathTemplate:
         """The path for the direction src->tgt.  A symmetric template is
         rendered against the alphabetically sorted file pair: the pair is
         "forward" iff src is the first language, and side_a/side_b flip
-        accordingly."""
-        check_language(src)
-        check_language(tgt)
-        return self._render(src, tgt)
-
-    def _render(self, src: str, tgt: str) -> str:
-        """`render` for language codes already checked."""
+        accordingly.  The codes are checked by `MetaConfig`, not here."""
         if self.mode is CorpusMode.DIRECTIONAL:
             return self.template.format(src_lang=src, tgt_lang=tgt, lang_pair=f"{src}-{tgt}")
         lang_a, lang_b = min(src, tgt), max(src, tgt)
@@ -98,16 +92,16 @@ def discover_tasks(
     target paths (`configgen.default_probe` accepts regular files,
     symlinks followed).  Self-pairs (for autoencoder stages) are probed
     only when requested.  The probe is injected so discovery stays
-    filesystem-agnostic.  Each language is checked once, here.
+    filesystem-agnostic.  The codes are checked by `MetaConfig`, not here.
     """
-    langs = sorted({check_language(l) for l in languages})
+    langs = sorted(set(languages))
     found = []
     for src in langs:
         for tgt in langs:
             if src == tgt and not include_self_pairs:
                 continue
-            if file_exists(src_template._render(src, tgt)) and file_exists(
-                tgt_template._render(src, tgt)
+            if file_exists(src_template.render(src, tgt)) and file_exists(
+                tgt_template.render(src, tgt)
             ):
                 found.append((src, tgt))
     return found

@@ -30,17 +30,18 @@ class SharingPattern(str, Enum):
 @dataclass(frozen=True)
 class ArchSpec:
     """Sharing architecture: one (pattern, n_layers) stack per sequential
-    position, per side."""
+    position, per side.  An error names the side by its meta key."""
 
     enc_stacks: tuple[tuple[SharingPattern, int], ...]
     dec_stacks: tuple[tuple[SharingPattern, int], ...]
 
     def __post_init__(self) -> None:
-        if not self.enc_stacks or not self.dec_stacks:
-            raise ValueError("at least one stack per side")
-        for _, n in self.enc_stacks + self.dec_stacks:
-            if not 1 <= n <= MAX_LAYERS:
-                raise ValueError(f"layer count {n} is not in 1..{MAX_LAYERS}")
+        for key, stacks in (("enc_sharing", self.enc_stacks), ("dec_sharing", self.dec_stacks)):
+            if not stacks:
+                raise ValueError(f"{key}: at least one stack")
+            for i, (_, n) in enumerate(stacks):
+                if not 1 <= n <= MAX_LAYERS:
+                    raise ValueError(f"{key}[{i}]: layer count {n} is not in 1..{MAX_LAYERS}")
 
     def stacks(self, side: Side) -> tuple[tuple[SharingPattern, int], ...]:
         return self.enc_stacks if side is Side.ENCODER else self.dec_stacks

@@ -337,8 +337,6 @@ def run_benchmark(
     """
     tasks = sorted(tasks, key=lambda t: t.id)
     for t in tasks:
-        if t.device is None:
-            raise SimulationError(f"task {t.id} has no device assignment")
         if not t.modules():
             raise SimulationError(f"task {t.id} must use at least one module")
 

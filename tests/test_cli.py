@@ -11,6 +11,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mmtplan
+from mmtplan import configgen
 from mmtplan.allocator import Assignment, comm_cost
 from mmtplan.cli import main
 from mmtplan.configgen import load_full_config
@@ -535,7 +536,7 @@ class TestBadInput:
         meta = workspace / "meta.yaml"
         meta.write_text(META_YAML.replace("[bg, de, en]", "[bg, de, en, %s]" % ("a" * 58)))
         assert main(["generate", str(meta)]) == 1
-        assert "longer than 57 characters" in one_error_line(capsys, "discovery")
+        assert "longer than 57 characters" in one_error_line(capsys, "meta")
 
     @pytest.mark.parametrize(
         "name", ["", "a\rb", "x" * 123], ids=["empty", "carriage-return", "123-chars"]
@@ -556,7 +557,60 @@ class TestBadInput:
             META_YAML + "adapters: [{name: %s, side: decoder, pattern: LANGUAGE}]\n" % ("x" * 123)
         )
         assert main(["generate", str(meta)]) == 1
-        assert "adapter name" in one_error_line(capsys, "validation")
+        assert "adapter name" in one_error_line(capsys, "meta")
+
+    @pytest.mark.parametrize(
+        "meta_text, message",
+        [
+            pytest.param(META_YAML + "n_groups: 0\n", "n_groups must be >= 1, got 0",
+                         id="n_groups-0"),
+            pytest.param(META_YAML_ALL_KEYS.replace("n_groups: 2", "n_groups: 0"),
+                         "n_groups must be >= 1, got 0", id="n_groups-0-with-group-pattern"),
+            # a negative step that delays every task, and one that delays some
+            pytest.param(META_YAML + "curriculum: [{start_step: -5, below_lines: 2}]\n",
+                         "curriculum: start_step must be >= 0, got -5",
+                         id="start_step-every-task"),
+            pytest.param(META_YAML_ALL_KEYS.replace("start_step: 100", "start_step: -5"),
+                         "curriculum: start_step must be >= 0, got -5",
+                         id="start_step-some-tasks"),
+            pytest.param(META_YAML.replace("[bg, de, en]", "[bg, DE, en]"),
+                         "invalid language code: 'DE'", id="uppercase-language"),
+            pytest.param(
+                META_YAML + "adapters: [{name: %s, side: decoder, pattern: LANGUAGE}]\n"
+                % ("x" * 123),
+                "adapter name '%s' is not 1-122 printable ASCII characters" % ("x" * 123),
+                id="adapter-name-123-chars",
+            ),
+        ],
+    )
+    def test_meta_rule_is_one_meta_line(self, workspace, capsys, monkeypatch, meta_text, message):
+        # each rule is checked once, while the meta file is read
+        monkeypatch.setattr(configgen, "generate", lambda *a: pytest.fail("generate ran"))
+        meta = workspace / "meta.yaml"
+        meta.write_text(meta_text)
+        assert main(["generate", str(meta)]) == 1
+        assert one_error_line(capsys, "meta") == f"error: [meta] {message}\n"
+
+    def test_nul_in_template_finds_no_corpus(self, workspace, capsys):
+        # a path holding a NUL byte names no file; discovery raises nothing
+        meta = workspace / "meta.yaml"
+        meta.write_text(META_YAML.replace('train.{src_lang}"', 'train.{src_lang}\\0"'))
+        assert main(["generate", str(meta)]) == 1
+        assert one_error_line(capsys, "discovery") == (
+            "error: [discovery] empty task set: no corpus files found\n"
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "allocate", "simulate"])
+    def test_task_without_device_is_one_parse_line(self, workspace, capsys, command):
+        plan = generated(workspace)
+        doc = yaml.safe_load(plan.read_text())
+        del doc["tasks"]["train_de-en"]["node_gpu"]
+        plan.write_text(yaml.safe_dump(doc))
+        capsys.readouterr()
+        assert main([command, str(plan)]) == 1
+        assert one_error_line(capsys, "parse") == (
+            "error: [parse] task train_de-en: node_gpu: required key is missing\n"
+        )
 
     def test_task_list_instead_of_mapping(self, tmp_path, capsys):
         path = tmp_path / "list.yaml"
@@ -824,8 +878,8 @@ class TestAllocate:
         plan.write_text(yaml.safe_dump(doc))
         capsys.readouterr()
         assert main(["allocate", str(plan)]) == 1
-        assert one_error_line(capsys, "allocation") == (
-            "error: [allocation] tasks without device: train_de-en\n"
+        assert one_error_line(capsys, "parse") == (
+            "error: [parse] task train_de-en: node_gpu: required key is missing\n"
         )
 
 

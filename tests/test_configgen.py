@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -138,11 +139,6 @@ class TestGenerate:
         meta = meta_for(["bg", "en"])
         with pytest.raises(ConfigError, match="empty task set"):
             generate(meta, lambda p: False)
-
-    def test_invalid_language_is_a_discovery_error(self):
-        meta = meta_for(["bg", "EN"])
-        with pytest.raises(ConfigError, match=r"\[discovery\] invalid language code: 'EN'"):
-            generate(meta, all_files_exist)
 
     def test_deterministic_bytes(self):
         meta = meta_for(
@@ -437,7 +433,7 @@ def full_configs(draw):
             dec_layers=dec_layers,
             weight=draw(st.integers(1, 10**6)),
             intro=draw(st.integers(0, 10**6)),
-            device=draw(st.tuples(st.integers(0, 99), st.integers(0, 99)) | st.none()),
+            device=draw(st.tuples(st.integers(0, 99), st.integers(0, 99))),
             transforms=draw(st.lists(odd_text, max_size=3)),
         )
         adapters = draw(st.dictionaries(adapter_name, odd_text, max_size=2))
@@ -467,6 +463,43 @@ class TestYamlPaths:
         for loader in (yaml.CSafeLoader, yaml.SafeLoader):
             with mock.patch.object(configgen, "YAML_LOADER", loader):
                 assert parse(text) == cfg
+
+
+class TestMetaRules:
+    """Each meta rule is checked by the type that holds its value."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: meta_for([]), "langs: at least one language code"),
+            (lambda: meta_for(["bg", "DE"]), "invalid language code: 'DE'"),
+            (lambda: meta_for(["bg", "a" * 58]),
+             f"language code {'a' * 58!r} is longer than 57 characters"),
+            (lambda: meta_for(["bg", "en", "bg"]), "langs: duplicate language code bg"),
+            (lambda: meta_for(["bg", "en"], n_groups=0), "n_groups must be >= 1, got 0"),
+            (lambda: meta_for(["bg", "en"], n_groups=3), "n_groups exceeds number of languages"),
+            (lambda: ArchSpec((), ((SP.FULL, 1),)), "enc_sharing: at least one stack"),
+            (lambda: ArchSpec(((SP.FULL, 1),), ((SP.LANGUAGE, 4), (SP.FULL, 0))),
+             "dec_sharing[1]: layer count 0 is not in 1..65536"),
+            (lambda: AdapterSpec("", Side.DECODER, (0,), SP.LANGUAGE),
+             "adapter name '' is not 1-122 printable ASCII characters"),
+            (lambda: CurriculumStage(-5, 2), "curriculum: start_step must be >= 0, got -5"),
+        ],
+        ids=[
+            "no-langs", "uppercase-lang", "long-lang", "repeated-lang", "n_groups-0",
+            "n_groups-above-langs", "no-enc-stack", "zero-layers", "empty-adapter-name",
+            "negative-start-step",
+        ],
+    )
+    def test_rule_checked_by_its_type(self, build, message):
+        # the types check these rules themselves, so a MetaConfig built in
+        # Python meets them as a meta file does
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_bounds_are_accepted(self):
+        meta = meta_for(["bg", "en"], n_groups=2, curriculum_stages=(CurriculumStage(0, 5),))
+        assert meta.n_groups == 2 and meta.curriculum_stages[0].start_step == 0
 
 
 class TestLoadMetaConfig:
@@ -505,6 +538,14 @@ seed: 11
         (tmp_path / "meta.yaml").write_text("langs: [bg]\n")
         with pytest.raises(ConfigError, match="meta"):
             load_meta_config(str(tmp_path / "meta.yaml"))
+
+    def test_invalid_language_is_a_meta_error(self, tmp_path):
+        # a meta file's codes are checked when it is read, before discovery
+        path = tmp_path / "meta.yaml"
+        meta_text = META_LANGS_BG_EN.replace("[bg, en]", "[bg, EN]")
+        path.write_text(meta_text.format(root=".", src_tpl="x", tgt_tpl="y"))
+        with pytest.raises(ConfigError, match=r"^\[meta\] invalid language code: 'EN'$"):
+            load_meta_config(str(path))
 
     def test_unquoted_boolean_language(self, tmp_path):
         # YAML 1.1 reads Norwegian `no` as False

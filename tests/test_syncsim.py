@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmtplan.allocator import CostContext
+from mmtplan.allocator import AllocationError, CostContext
 from mmtplan.core import ClusterTopology, ModuleKey, Side
 from mmtplan.sharing import enumerate_modules
 from mmtplan.syncsim import (
@@ -315,7 +315,9 @@ class TestRunBenchmark:
     def test_unplaced_task_rejected(self):
         topo = ClusterTopology(1, 1, 1)
         t = make_task("aa", "bb", ["x"], ["y"])
-        with pytest.raises(SimulationError):
+        with pytest.raises(
+            AllocationError, match=r"^\[allocation\] tasks without device: train_aa-bb$"
+        ):
             run_benchmark([t], topo, steps=1)
 
     def test_no_active_task_names_device_only_when_drawing(self):
