@@ -10,7 +10,10 @@ the warm start partitions the task-module hypergraph nodes first, then
 devices (the connectivity-1 objective of PaToH, Catalyurek & Aykanat
 1999, with node-level coarsening as in hMETIS, Karypis et al. 1999):
 whole task groups fill nodes before their tasks are cut into device
-blocks.  Local search then moves one task at a time, which cannot
+blocks.  A group is the tasks of one module, for each task the heaviest
+(sharers x parameters) that still fits one node's share of the tasks:
+the first coarsening level of hMETIS.  A group stays contiguous inside
+its node.  Local search then moves one task at a time, which cannot
 regroup a node on its own.
 
 The cost of a placement is, per module, its parameter count times a
@@ -201,13 +204,17 @@ def warm_start(ctx: CostContext, seed: int) -> list[int]:
 
     The first `used` devices in `topo.devices()` (node-major) are used, as
     many as the curriculum cover allows, with blocks of base or base+1
-    tasks.  A task's group is its heaviest module (by `CostContext.params`,
-    ties to the lower module id) that not every task shares.  Groups go whole into
-    nodes best-fit-decreasing; the tasks of groups that fit no node fill
-    the remaining node capacity in node order.  Inside a node, tasks are
-    sorted by sharing signature and cut into that node's device blocks.  A
-    block without a step-0 task swaps in one from a block of the same node
-    where there is one.  The seed orders tasks of equal signature."""
+    tasks.  A task's group is one of its modules that not every task
+    shares: the one with the largest sharers x `CostContext.params`
+    (ties to the lower module id) among those with at most `limit`
+    sharers, one node's share of the balanced blocks, or among all of
+    them when none has.  Groups go whole into nodes best-fit-decreasing,
+    largest first, each group's tasks in sharing-signature order; the
+    tasks of groups that fit no node fill the remaining node capacity in
+    node order.  Each node's tasks are cut, in that order, into the
+    node's device blocks, so a group stays contiguous.  A block without
+    a step-0 task swaps in one from a block of the same node where there
+    is one.  The seed orders tasks of equal signature."""
     topo = ctx.topo
     n = len(ctx.tasks)
     if n == 0:
@@ -235,10 +242,12 @@ def warm_start(ctx: CostContext, seed: int) -> list[int]:
     # p-th in signature order, so sorting positions sorts by signature
     order.sort(key=lambda t: sorted(ctx.task_modules[t]))
 
+    limit = math.ceil(n / used) * topo.n_gpus_per_node
+    rank = {m: (s > limit, -s * ctx.params[m], m) for m, s in sharers.items()}
     groups: dict[int, list[int]] = {}
     for p, t in enumerate(order):
         own = [m for m in ctx.task_modules[t] if sharers[m] < n]
-        key = min(own, key=lambda m: (-ctx.params[m], m), default=-1)
+        key = min(own, key=rank.__getitem__, default=-1)
         groups.setdefault(key, []).append(p)
 
     node = ctx.dev_node  # devices 0..used-1 are the first `used` of topo.devices()
@@ -261,8 +270,6 @@ def warm_start(ctx: CostContext, seed: int) -> list[int]:
         on_node[k] += loose[:room]
         del loose[:room]
 
-    for members in on_node:
-        members.sort()
     blocks: list[list[int]] = []
     for d, size in enumerate(sizes):
         members = on_node[node[d]]

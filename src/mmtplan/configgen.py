@@ -265,9 +265,13 @@ def generate(
             raise ConfigError("clustering", f"distance matrix lacks languages: {sorted(missing)}")
 
     ids = {pair: task_id(*pair) for pair in pairs}
-    counts = {
-        ids[pair]: int((meta.line_counts or {}).get(ids[pair], 1)) for pair in pairs
-    }
+    line_counts = meta.line_counts or {}
+    unknown = sorted(set(line_counts).difference(ids.values()))
+    if unknown:
+        raise ConfigError(
+            "weighting", f"line_counts for tasks not discovered: {', '.join(unknown)}"
+        )
+    counts = {ids[pair]: int(line_counts.get(ids[pair], 1)) for pair in pairs}
     weights = compute_weights(counts, meta.temperature)
     curriculum = assign_curriculum(counts, meta.curriculum_stages)
 
@@ -340,7 +344,11 @@ _META_SCALAR_KINDS = {
 
 
 def emit(cfg: FullConfig) -> str:
-    """Serialize to YAML with stable key order; byte-deterministic."""
+    """Serialize to YAML with stable key order; byte-deterministic.  Every
+    task must have a device: `parse` requires `node_gpu`."""
+    unplaced = sorted(tid for tid, task in cfg.tasks.items() if task.device is None)
+    if unplaced:
+        raise allocator.AllocationError(f"tasks without device: {', '.join(unplaced)}")
     doc = {
         "enc_layers": list(cfg.enc_layers),
         "dec_layers": list(cfg.dec_layers),
@@ -357,9 +365,8 @@ def emit(cfg: FullConfig) -> str:
             "transforms": list(task.transforms),
             "weight": task.weight,
             "introduce_at_training_step": task.introduce_at_training_step,
+            "node_gpu": str(task.device),
         }
-        if task.device is not None:
-            entry["node_gpu"] = str(task.device)
         if task.adapters:
             entry["adapters"] = {name: inst for name, inst in task.adapters}
         doc["tasks"][tid] = entry

@@ -39,6 +39,18 @@ class ConfigError(ValueError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+        self.message = message
+
+    def __reduce__(self):
+        # `args` holds the prefixed text and a subclass's `__init__` takes
+        # no stage, so rebuild from the stage and the message instead
+        return _stage_error, (type(self), self.stage, self.message)
+
+
+def _stage_error(cls: type, stage: str, message: str) -> ConfigError:
+    error = cls.__new__(cls)
+    ConfigError.__init__(error, stage, message)
+    return error
 
 
 class Side(str, Enum):

@@ -272,6 +272,26 @@ class TestInitialAssignment:
             assert len(language) == 5
             assert all(len(n) == 1 for n in language.values())
 
+    def test_hub_families_stay_on_one_node(self):
+        # a hub and three families of four, with plan-hub's layer shape;
+        # family i is {a}{b_i}, so sorting by code interleaves the families
+        families = [[a + b for a in "pqrs"] for b in "xyz"]
+        group = {lang: f"f{i}" for i, fam in enumerate(families) for lang in fam}
+        group["hh"] = "fh"
+        pairs = [(lang, "hh") for fam in families for lang in fam]
+        pairs += [("hh", lang) for lang in sorted(group) if lang != "hh"]
+        tasks = [
+            make_task(s, t, [s, group[s], "full"], [group[t], t], (2, 2, 2), (2, 2))
+            for s, t in pairs
+        ]
+        topo = ClusterTopology(3, 2, 4)
+        for seed in range(5):
+            a = initial_assignment(tasks, topo, seed=seed)
+            for fam in families:
+                into = {a.placement[f"train_{lang}-hh"].node for lang in fam}
+                out = {a.placement[f"train_hh-{lang}"].node for lang in fam}
+                assert len(into) == 1 and len(out) == 1, (seed, fam)
+
     def test_conflicting_layer_counts_name_the_module(self):
         topo = ClusterTopology(1, 2, 2)
         tasks = [

@@ -27,3 +27,4 @@ def test_traced_run_ends_in_strict_json(workload):
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.splitlines()[-1], parse_constant=reject_constant)
     assert result["correct"] is True, out.stderr
+    assert result["failed"] == 0, out.stderr

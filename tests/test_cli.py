@@ -662,6 +662,13 @@ class TestBadInput:
                 id="weighting-zero-lines",
             ),
             pytest.param(
+                META_YAML.replace("langs: [bg, de, en]", "langs: [bg, en]")
+                + "line_counts: {train_bg-en: 1000, train_en-gb: 1000}\n",
+                "weighting",
+                "line_counts for tasks not discovered: train_en-gb",
+                id="weighting-unknown-task",
+            ),
+            pytest.param(
                 "- " + "\n  ".join(META_YAML.splitlines()) + "\n",
                 "meta",
                 "meta-configuration must be a mapping",

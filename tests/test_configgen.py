@@ -168,6 +168,17 @@ class TestGenerate:
         assert cfg.tasks["train_en-bg"].introduce_at_training_step == 5000
         assert cfg.tasks["train_bg-en"].introduce_at_training_step == 0
 
+    def test_unknown_line_count_keys_are_an_error(self):
+        # a partial map is fine; a key that names no discovered task is not
+        meta = meta_for(
+            ["bg", "en"], line_counts={"train_en-gb": 1, "train_bg-en": 4, "train_bg-de": 1}
+        )
+        with pytest.raises(ConfigError) as info:
+            generate(meta, all_files_exist)
+        assert str(info.value) == (
+            "[weighting] line_counts for tasks not discovered: train_bg-de, train_en-gb"
+        )
+
     def test_autoencoder_adds_self_pairs(self):
         meta = meta_for(["bg", "en"], autoencoder=True, noise_transform="bart")
         cfg = generate(meta, all_files_exist)
@@ -279,6 +290,15 @@ class TestRoundTrip:
         meta = meta_for(["bg", "en"])
         cfg = generate(meta, all_files_exist)
         assert emit(parse(emit(cfg))) == emit(cfg)
+
+    def test_emit_rejects_an_unplaced_task(self):
+        # `parse` requires node_gpu, so such a plan would not read back
+        cfg = generate(meta_for(["bg", "en"]), all_files_exist)
+        task = cfg.tasks["train_en-bg"]
+        cfg.tasks["train_en-bg"] = replace(task, device=None)
+        with pytest.raises(allocator.AllocationError) as info:
+            emit(cfg)
+        assert str(info.value) == "[allocation] tasks without device: train_en-bg"
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from dataclasses import replace
 
@@ -317,3 +318,22 @@ def test_library_errors_carry_their_stage(cls, stage):
     assert isinstance(exc, ConfigError) and isinstance(exc, ValueError)
     assert exc.stage == stage
     assert str(exc) == f"[{stage}] went wrong"
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        ConfigError("meta", "went wrong"),
+        AllocationError("went wrong"),
+        SimulationError("went wrong"),
+        TemplateError("went wrong"),
+        GroupMapError("went wrong"),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_stage_errors_survive_pickle(exc):
+    # a process pool hands errors back pickled
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert back.stage == exc.stage
+    assert str(back) == str(exc) == f"[{exc.stage}] went wrong"
