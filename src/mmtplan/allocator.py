@@ -64,7 +64,8 @@ class CostContext:
     """One task/module structure over integer ids: tasks sorted by id,
     modules sorted by key, devices in `topo.devices()` order.  Placements
     are lists of device indices, one per task.  The warm start, local
-    search, `comm_cost` and the simulator all number modules through it."""
+    search, `comm_cost` and the simulator all number modules through it,
+    and its task order is the one order of a run's tasks."""
 
     def __init__(
         self,
@@ -214,7 +215,8 @@ def warm_start(ctx: CostContext, seed: int) -> list[int]:
     node order.  Each node's tasks are cut, in that order, into the
     node's device blocks, so a group stays contiguous.  A block without
     a step-0 task swaps in one from a block of the same node where there
-    is one.  The seed orders tasks of equal signature."""
+    is one.  The seed orders tasks of equal signature.  Groups, node
+    lists and blocks hold indices into `ctx.tasks`."""
     topo = ctx.topo
     n = len(ctx.tasks)
     if n == 0:
@@ -236,19 +238,17 @@ def warm_start(ctx: CostContext, seed: int) -> list[int]:
     sharers = Counter(m for mods in ctx.task_modules for m in mods)
 
     rng = random.Random(seed)
-    order = list(range(n))  # positions in ctx.tasks, which is sorted by id
+    order = list(range(n))
     rng.shuffle(order)
-    # stable: seeded order within equal signatures; task p of `order` is
-    # p-th in signature order, so sorting positions sorts by signature
-    order.sort(key=lambda t: sorted(ctx.task_modules[t]))
+    order.sort(key=lambda t: sorted(ctx.task_modules[t]))  # stable: seeded within a signature
 
     limit = math.ceil(n / used) * topo.n_gpus_per_node
     rank = {m: (s > limit, -s * ctx.params[m], m) for m, s in sharers.items()}
     groups: dict[int, list[int]] = {}
-    for p, t in enumerate(order):
+    for t in order:
         own = [m for m in ctx.task_modules[t] if sharers[m] < n]
         key = min(own, key=rank.__getitem__, default=-1)
-        groups.setdefault(key, []).append(p)
+        groups.setdefault(key, []).append(t)
 
     node = ctx.dev_node  # devices 0..used-1 are the first `used` of topo.devices()
     base, rem = divmod(n, used)
@@ -273,18 +273,18 @@ def warm_start(ctx: CostContext, seed: int) -> list[int]:
     blocks: list[list[int]] = []
     for d, size in enumerate(sizes):
         members = on_node[node[d]]
-        blocks.append([order[p] for p in members[:size]])
+        blocks.append(members[:size])
         del members[:size]
 
     # repair curriculum cover: move a spare step-0 task into uncovered
-    # blocks, from a block on the same node where one has a spare
+    # blocks, from a block on the same node where one has a spare.  The
+    # `used` blocks hold at least `used` step-0 tasks and a swap keeps that
+    # total, so while block b holds none, one of the others holds two.
     n0 = [sum(step0[t] for t in block) for block in blocks]
     for b, block in enumerate(blocks):
         if n0[b]:
             continue
         donors = [o for o in range(used) if n0[o] >= 2]
-        if not donors:
-            raise AllocationError("unable to cover every used GPU with a step-0 task")
         o = min(donors, key=lambda o: node[o] != node[b])
         spare = next(t for t in blocks[o] if step0[t])
         delayed = next(t for t in block if not step0[t])

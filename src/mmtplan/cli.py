@@ -9,6 +9,7 @@ prints one line, `error: [stage] message`, to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,12 +20,7 @@ from .sharing import enumerate_modules
 
 
 def _cmd_generate(args) -> int:
-    meta = configgen.load_meta_config(args.meta)
-    if args.seed is not None:
-        from dataclasses import replace
-
-        meta = replace(meta, seed=args.seed)
-    cfg = configgen.generate(meta)
+    cfg = configgen.generate(configgen.load_meta_config(args.meta))
     text = configgen.emit(cfg)
     if args.output:
         with open(args.output, "w") as f:
@@ -53,12 +49,8 @@ def _cmd_allocate(args) -> int:
     allocator.local_search(ctx, task_dev, args.budget, args.seed)
     print(f"cost after:  {ctx.cost(task_dev):.6g}")
     if args.output:
-        placement = ctx.placement(task_dev)
-        placed = {tid: task.with_device(placement[tid]) for tid, task in cfg.tasks.items()}
-        new_cfg = configgen.FullConfig(
-            placed, cfg.enc_layers, cfg.dec_layers, cfg.topology
-        )
-        configgen.write_full_config(new_cfg, args.output)
+        placed = {t: cfg.tasks[t].with_device(d) for t, d in ctx.placement(task_dev).items()}
+        configgen.write_full_config(dataclasses.replace(cfg, tasks=placed), args.output)
     return 0
 
 
@@ -112,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="compile a meta-configuration")
     p.add_argument("meta", help="meta-configuration YAML file")
     p.add_argument("-o", "--output", help="output path (default: stdout)")
-    p.add_argument("--seed", type=int, default=None, help="override the meta seed")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("allocate", help="re-run device allocation")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import check_language
 
@@ -49,15 +50,24 @@ def load_distance_matrix(path: str) -> LanguageDistanceMatrix:
     return LanguageDistanceMatrix(languages, data)
 
 
-def cluster_languages(m: LanguageDistanceMatrix, k: int) -> dict[str, str]:
-    """Agglomerative complete-linkage clustering down to k groups.
+def cluster_languages(
+    m: LanguageDistanceMatrix, k: int, languages: Iterable[str]
+) -> dict[str, str]:
+    """Agglomerative complete-linkage clustering of `languages` down to k
+    groups, over their rows of `m`; the matrix's other languages take no
+    part.  Every one of `languages` must be in the matrix.
 
     Merge order: smallest complete-linkage distance first; ties broken by
     the lexicographically smallest pair of cluster minimum members.  Group
     names group0..group{k-1} follow the ascending order of each cluster's
     smallest member, so the output is independent of input ordering.
     """
-    order = sorted(range(len(m.languages)), key=m.languages.__getitem__)
+    index = {lang: i for i, lang in enumerate(m.languages)}
+    names = sorted(set(languages))
+    missing = [lang for lang in names if lang not in index]
+    if missing:
+        raise ValueError(f"distance matrix lacks languages: {missing}")
+    order = [index[lang] for lang in names]
     if not 1 <= k <= len(order):
         raise ValueError(f"k={k} out of range for {len(order)} languages")
 

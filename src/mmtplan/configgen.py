@@ -238,7 +238,9 @@ def generate(
     meta: MetaConfig, file_exists: Optional[Callable[[str], bool]] = None
 ) -> FullConfig:
     """Run the full compilation pipeline; deterministic given the meta
-    configuration (and the probe's answers)."""
+    configuration (and the probe's answers), whose `seed` is the only one.
+    Group patterns cluster `meta.languages` alone.  The plan's tasks are
+    in `CostContext.tasks` order."""
     probe = file_exists if file_exists is not None else default_probe(meta.corpus_root)
 
     src_tpl = PathTemplate(meta.src_path_template, meta.corpus_mode)
@@ -257,12 +259,9 @@ def generate(
             raise ConfigError("clustering", "GROUP sharing patterns require a distance matrix")
         try:
             matrix = load_distance_matrix(meta.distance_matrix_path)
-            groups = cluster_languages(matrix, meta.n_groups)
+            groups = cluster_languages(matrix, meta.n_groups, meta.languages)
         except (OSError, ValueError) as exc:
             raise ConfigError("clustering", str(exc)) from exc
-        missing = set(meta.languages) - set(groups)
-        if missing:
-            raise ConfigError("clustering", f"distance matrix lacks languages: {sorted(missing)}")
 
     ids = {pair: task_id(*pair) for pair in pairs}
     line_counts = meta.line_counts or {}
@@ -302,15 +301,14 @@ def generate(
     task_dev = allocator.warm_start(ctx, meta.seed)
     allocator.local_search(ctx, task_dev, meta.search_budget, meta.seed)
 
-    placement = ctx.placement(task_dev)
-    placed = {tid: task.with_device(placement[tid]) for tid, task in tasks.items()}
+    placed = {tid: tasks[tid].with_device(dev) for tid, dev in ctx.placement(task_dev).items()}
     violations = validate_config(list(placed.values()), meta.topology)
     if violations:
         raise ConfigError("validation", "; ".join(violations))
 
     any_task = next(iter(placed.values()))
     return FullConfig(
-        tasks=dict(sorted(placed.items())),
+        tasks=placed,
         enc_layers=any_task.enc_layers,
         dec_layers=any_task.dec_layers,
         topology=meta.topology,
@@ -355,7 +353,7 @@ def emit(cfg: FullConfig) -> str:
         **{key: getattr(cfg.topology, key) for key in _TOPOLOGY_KINDS},
         "tasks": {},
     }
-    for tid, task in sorted(cfg.tasks.items()):
+    for tid, task in cfg.tasks.items():
         entry = {
             "src_tgt": f"{task.src_lang}-{task.tgt_lang}",
             "path_src": task.src_path,

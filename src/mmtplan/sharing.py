@@ -124,7 +124,7 @@ def enumerate_modules(tasks: Iterable[TaskSpec]) -> dict[ModuleKey, ModuleInfo]:
         for key, n_layers in zip(task.modules(), task.enc_layers + task.dec_layers):
             seen = inventory.setdefault(key, n_layers)
             if seen != n_layers:
-                raise ValueError(
+                raise GroupMapError(
                     f"conflicting layer counts for module {key}: {seen} vs {n_layers}"
                 )
     return {

@@ -333,16 +333,15 @@ def run_benchmark(
     all-reduces its ready flags, and its gradient too if a drawn task used
     it; the ring allreduce model charges the worst link class its device
     group spans.  Compute time is COMPUTE_SEC_PER_TOKEN_LAYER * tokens *
-    layers on the slowest device.
+    layers on the slowest device.  The order of `tasks` is not an input:
+    the run follows `CostContext.tasks`.
     """
-    tasks = sorted(tasks, key=lambda t: t.id)
-    for t in tasks:
-        if not t.modules():
-            raise SimulationError(f"task {t.id} must use at least one module")
-
     modules = enumerate_modules(tasks)
     ctx = CostContext(tasks, modules, topo)
-    task_dev = ctx.placement_list({t.id: t.device for t in tasks})
+    for task, mods in zip(ctx.tasks, ctx.task_modules):
+        if not mods:
+            raise SimulationError(f"task {task.id} must use at least one module")
+    task_dev = ctx.placement_list({t.id: t.device for t in ctx.tasks})
     by_device: dict[int, list[int]] = {}
     for t, i in enumerate(task_dev):
         by_device.setdefault(i, []).append(t)
@@ -443,7 +442,7 @@ def run_benchmark(
     summary = {
         "steps": steps,
         "devices": len(dev_indices),
-        "tasks": len(tasks),
+        "tasks": len(ctx.tasks),
         "modules": len(modules),
         "total_tokens": ledger.total_tokens,
         "total_time_sec": ledger.total_time,

@@ -16,7 +16,7 @@ from mmtplan.allocator import (
     warm_start,
 )
 from mmtplan.core import ClusterTopology, DeviceId, ModuleKey, Side, validate_config
-from mmtplan.sharing import ModuleInfo, enumerate_modules
+from mmtplan.sharing import GroupMapError, ModuleInfo, enumerate_modules
 
 from conftest import make_task, modules_at, search
 
@@ -298,10 +298,11 @@ class TestInitialAssignment:
             make_task("aa", "zz", ["aa", "full"], ["zz"], enc_layers=(1, 2)),
             make_task("bb", "zz", ["bb", "full"], ["zz"], enc_layers=(1, 3)),
         ]
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(GroupMapError) as exc:
             initial_assignment(tasks, topo)
-        assert not isinstance(exc.value, AllocationError)
-        assert str(exc.value) == "conflicting layer counts for module encoder:1:full: 2 vs 3"
+        assert str(exc.value) == (
+            "[sharing] conflicting layer counts for module encoder:1:full: 2 vs 3"
+        )
 
     def test_cover_repair_takes_same_node_donor(self):
         # groups a..d of two tasks fill devices 0:0, 0:1, 1:0, 1:1 in turn;

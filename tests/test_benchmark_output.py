@@ -28,3 +28,5 @@ def test_traced_run_ends_in_strict_json(workload):
     result = json.loads(out.stdout.splitlines()[-1], parse_constant=reject_constant)
     assert result["correct"] is True, out.stderr
     assert result["failed"] == 0, out.stderr
+    # a renamed function that the benchmark wraps would drop its per-layer metric
+    assert "absent (wrapped name no longer exists)" not in out.stdout

@@ -120,6 +120,18 @@ class TestGenerate:
         main(["generate", str(workspace / "meta.yaml"), "-o", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_stdout_is_the_output_file(self, workspace, capsys):
+        out = generated(workspace)
+        capsys.readouterr()
+        assert main(["generate", str(workspace / "meta.yaml")]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_seed_is_not_an_option(self, workspace):
+        # the meta file's seed is the only one, so a plan is reproducible from it
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", str(workspace / "meta.yaml"), "--seed", "3"])
+        assert exc.value.code == 2
+
     def test_missing_corpus_fails_cleanly(self, workspace, capsys):
         import shutil
 

@@ -133,20 +133,38 @@ class TestValidation:
     def test_k_out_of_range(self):
         m = matrix_from(["aa", "bb"], lambda a, b: 1.0)
         with pytest.raises(ValueError):
-            cluster_languages(m, 0)
+            cluster_languages(m, 0, m.languages)
         with pytest.raises(ValueError):
-            cluster_languages(m, 3)
+            cluster_languages(m, 3, m.languages)
 
 
 class TestClustering:
+    def test_only_the_given_languages_are_clustered(self):
+        def dist(a, b):
+            if "zz" in (a, b):
+                return 99.0
+            return 1.0 if {a, b} in ({"aa", "bb"}, {"cc", "dd"}) else 5.0
+
+        m = matrix_from(["aa", "bb", "cc", "dd", "zz"], dist)
+        assert cluster_languages(m, 2, ["dd", "cc", "bb", "aa"]) == {
+            "aa": "group0", "bb": "group0", "cc": "group1", "dd": "group1",
+        }
+        with pytest.raises(ValueError, match="out of range for 2 languages"):
+            cluster_languages(m, 3, ["aa", "zz"])
+
+    def test_languages_missing_from_the_matrix(self):
+        m = matrix_from(["aa", "bb"], lambda a, b: 1.0)
+        with pytest.raises(ValueError, match=r"^distance matrix lacks languages: \['cc', 'dd'\]$"):
+            cluster_languages(m, 1, ["dd", "aa", "cc"])
+
     def test_k_equals_n(self):
         m = matrix_from(["aa", "bb", "cc"], lambda a, b: 1.0)
-        result = cluster_languages(m, 3)
+        result = cluster_languages(m, 3, m.languages)
         assert len(set(result.values())) == 3
 
     def test_k_equals_one(self):
         m = matrix_from(["aa", "bb", "cc"], lambda a, b: 1.0)
-        assert set(cluster_languages(m, 1).values()) == {"group0"}
+        assert set(cluster_languages(m, 1, m.languages).values()) == {"group0"}
 
     def test_two_natural_clusters(self):
         # oracle: brute force over all 2-partitions minimizing the max
@@ -158,7 +176,7 @@ class TestClustering:
         m = matrix_from(["de", "en", "et", "fi"], dist)
         _, best_parts = brute_force_best_partition(m, 2)
         assert best_parts == {frozenset({"de", "en"}), frozenset({"et", "fi"})}
-        result = cluster_languages(m, 2)
+        result = cluster_languages(m, 2, m.languages)
         assert result == {"de": "group0", "en": "group0", "et": "group1", "fi": "group1"}
 
     def test_group_naming_by_smallest_member(self):
@@ -166,7 +184,7 @@ class TestClustering:
             return 1.0 if frozenset({a, b}) == frozenset({"bb", "dd"}) else 10.0
 
         m = matrix_from(["aa", "bb", "cc", "dd"], dist)
-        result = cluster_languages(m, 3)
+        result = cluster_languages(m, 3, m.languages)
         # clusters {aa}, {bb,dd}, {cc} named by ascending smallest member
         assert result == {"aa": "group0", "bb": "group1", "dd": "group1", "cc": "group2"}
 
@@ -185,14 +203,14 @@ class TestClustering:
             return values[key]
 
         m = matrix_from(langs, dist)
-        result = cluster_languages(m, k)
+        result = cluster_languages(m, k, m.languages)
         assert set(result) == set(langs)  # every language in exactly one group
         assert len(set(result.values())) == k
 
         perm = langs[:]
         rng.shuffle(perm)
         m2 = matrix_from(perm, dist)
-        assert cluster_languages(m2, k) == result
+        assert cluster_languages(m2, k, m2.languages) == result
 
     def test_merge_heights_non_decreasing(self):
         rng = np.random.default_rng(3)
@@ -226,8 +244,8 @@ class TestAgainstReference:
         shuffled = matrix_from(langs, dist)
         for k in range(1, n + 1):
             expected, _ = reference_cluster_languages(m, k)
-            assert cluster_languages(m, k) == expected
-            assert cluster_languages(shuffled, k) == expected
+            assert cluster_languages(m, k, m.languages) == expected
+            assert cluster_languages(shuffled, k, shuffled.languages) == expected
 
     @pytest.mark.parametrize("seed, n", [(0, 25), (1, 33), (2, 40)])
     def test_equals_reference_at_larger_n(self, seed, n):
@@ -243,7 +261,7 @@ class TestAgainstReference:
         m = matrix_from(langs, dist)
         for k in range(1, n + 1):
             expected, _ = reference_cluster_languages(m, k)
-            assert cluster_languages(m, k) == expected
+            assert cluster_languages(m, k, m.languages) == expected
 
     def test_planted_families_with_ties(self):
         # 60 languages in 6 planted families: distances inside a family are
@@ -260,8 +278,8 @@ class TestAgainstReference:
         m = matrix_from(langs, dist)
         for k in (1, 2, 5, 6, 7, 12, 30, 59, 60):
             expected, _ = reference_cluster_languages(m, k)
-            assert cluster_languages(m, k) == expected
-        groups = cluster_languages(m, 6)
+            assert cluster_languages(m, k, m.languages) == expected
+        groups = cluster_languages(m, 6, m.languages)
         assert {frozenset(l for l in langs if groups[l] == g) for g in set(groups.values())} == {
             frozenset(l for l in langs if family[l] == f) for f in range(6)
         }

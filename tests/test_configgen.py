@@ -206,6 +206,39 @@ class TestGenerate:
         assert cfg.tasks["train_bg-en"].enc_modules[0].group == "group0"
         assert cfg.tasks["train_de-en"].enc_modules[0].group == "group1"
 
+    def test_matrix_languages_outside_langs_are_not_clustered(self, tmp_path):
+        # zz is far from every language: clustered too, it would take a
+        # group of its own and leave aa..dd all in group0
+        matrix = tmp_path / "dist.txt"
+        matrix.write_text(
+            "aa bb cc dd zz\n"
+            "0 1 5 5 99\n1 0 5 5 99\n5 5 0 1 99\n5 5 1 0 99\n99 99 99 99 0\n"
+        )
+        arch = ArchSpec(((SP.GROUP, 2),), ((SP.LANGUAGE, 2),))
+        meta = meta_for(
+            ["aa", "bb", "cc", "dd"],
+            arch=arch,
+            topology=ClusterTopology(1, 2, 8),
+            n_groups=2,
+            distance_matrix_path=str(matrix),
+        )
+        cfg = generate(meta, all_files_exist)
+        groups = {t.src_lang: t.enc_modules[0].group for t in cfg.tasks.values()}
+        assert groups == {"aa": "group0", "bb": "group0", "cc": "group1", "dd": "group1"}
+
+    def test_weights_past_a_float_are_a_validation_error(self):
+        # each weight fits a float, their sum on the one device does not
+        meta = meta_for(
+            ["bg", "de", "en"],
+            line_counts={"train_bg-de": 10**308, "train_bg-en": 10**308},
+            temperature=1.0,
+        )
+        with pytest.raises(ConfigError) as exc:
+            generate(meta, all_files_exist)
+        assert str(exc.value) == (
+            "[validation] device 0:0: the weights of its tasks sum past what a float holds"
+        )
+
     def test_adapters_resolved_per_task(self):
         meta = meta_for(
             ["bg", "en"],
@@ -290,6 +323,12 @@ class TestRoundTrip:
         meta = meta_for(["bg", "en"])
         cfg = generate(meta, all_files_exist)
         assert emit(parse(emit(cfg))) == emit(cfg)
+
+    def test_emit_ignores_task_order(self):
+        cfg = generate(meta_for(["bg", "de", "en"]), all_files_exist)
+        backwards = replace(cfg, tasks=dict(sorted(cfg.tasks.items(), reverse=True)))
+        assert list(backwards.tasks) != list(cfg.tasks)
+        assert emit(backwards) == emit(cfg)
 
     def test_emit_rejects_an_unplaced_task(self):
         # `parse` requires node_gpu, so such a plan would not read back

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mmtplan.allocator import AllocationError, CostContext
 from mmtplan.core import ClusterTopology, ModuleKey, Side
-from mmtplan.sharing import enumerate_modules
+from mmtplan.sharing import GroupMapError, enumerate_modules
 from mmtplan.syncsim import (
     COMPUTE_SEC_PER_TOKEN_LAYER,
     GRAD_BYTES_PER_PARAM,
@@ -320,6 +320,26 @@ class TestRunBenchmark:
         ):
             run_benchmark([t], topo, steps=1)
 
+    def test_task_without_modules_rejected(self):
+        topo = ClusterTopology(1, 1, 1)
+        t = make_task("aa", "bb", [], [], device=(0, 0))
+        with pytest.raises(
+            SimulationError, match=r"^\[simulation\] task train_aa-bb must use at least one module$"
+        ):
+            run_benchmark([t], topo, steps=1)
+
+    def test_conflicting_layer_counts_are_a_sharing_error(self):
+        topo = ClusterTopology(1, 2, 1)
+        tasks = [
+            make_task("aa", "zz", ["full"], ["zz"], enc_layers=(2,), device=(0, 0)),
+            make_task("bb", "zz", ["full"], ["zz"], enc_layers=(3,), device=(0, 1)),
+        ]
+        with pytest.raises(GroupMapError) as exc:
+            run_benchmark(tasks, topo, steps=1)
+        assert str(exc.value) == (
+            "[sharing] conflicting layer counts for module encoder:0:full: 2 vs 3"
+        )
+
     def test_no_active_task_names_device_only_when_drawing(self):
         topo = ClusterTopology(1, 2, 1)
         tasks = [
@@ -540,6 +560,12 @@ def test_ledger_and_summary_are_pinned():
         make_task("fr", "en", ["fr", "full"], ["en"], (1, 2), (3,), intro=2, device=(1, 0)),
     ]
     ledger, summary = run_benchmark(tasks, topo, steps=5, seed=8, accum_count=2)
+    assert ledger.to_tsv() == PINNED_LEDGER
+    assert json.dumps(summary, indent=2, sort_keys=True) == PINNED_SUMMARY
+
+    # the order the tasks come in is not an input
+    random.Random(8).shuffle(tasks)
+    ledger, summary = run_benchmark(tasks[::-1], topo, steps=5, seed=8, accum_count=2)
     assert ledger.to_tsv() == PINNED_LEDGER
     assert json.dumps(summary, indent=2, sort_keys=True) == PINNED_SUMMARY
 
