@@ -142,14 +142,41 @@ class MetaConfig:
                 raise ValueError(f"adapter {spec.name}: position out of arch bounds")
             if spec.name in (other.name for other in self.adapters[:i]):
                 raise ValueError(f"adapters: duplicate name {spec.name}")
+        if self.distance_matrix_path is not None and not self.uses_groups:
+            raise ValueError("distance_matrix: no sharing pattern or adapter uses groups")
+
+    @property
+    def uses_groups(self) -> bool:
+        """Whether a stack or an adapter has a GROUP pattern, so that
+        languages are clustered from the distance matrix."""
+        patterns = {p for p, _ in self.arch.enc_stacks + self.arch.dec_stacks}
+        patterns |= {spec.pattern for spec in self.adapters}
+        return bool(patterns & _GROUP_PATTERNS)
 
 
 @dataclass(frozen=True)
 class FullConfig:
+    """An explicit plan, checked where it is built: `validate_config`, and
+    each task placed, keyed by its id and carrying the plan's layer counts.
+    Any violation is one `[validation]` error, so `parse(emit(cfg)) == cfg`.
+    Do not mutate `tasks` after construction; use `dataclasses.replace`."""
+
     tasks: dict[str, TaskSpec]
     enc_layers: tuple[int, ...]
     dec_layers: tuple[int, ...]
     topology: ClusterTopology
+
+    def __post_init__(self) -> None:
+        tasks = list(self.tasks.values())
+        violations = [f"key {k} holds task {t.id}" for k, t in self.tasks.items() if k != t.id]
+        violations += validate_config(tasks, self.topology)
+        violations += sorted(f"task {t.id}: no device" for t in tasks if t.device is None)
+        layers = (self.enc_layers, self.dec_layers)
+        off = sorted(t.id for t in tasks if (t.enc_layers, t.dec_layers) != layers)
+        if off:
+            violations.append(f"{len(off)} tasks, {off[0]} first, lack the plan's layer counts")
+        if violations:
+            raise ConfigError("validation", "; ".join(violations))
 
 
 def compute_weights(line_counts: Mapping[str, int], temperature: float) -> dict[str, int]:
@@ -239,8 +266,8 @@ def generate(
 ) -> FullConfig:
     """Run the full compilation pipeline; deterministic given the meta
     configuration (and the probe's answers), whose `seed` is the only one.
-    Group patterns cluster `meta.languages` alone.  The plan's tasks are
-    in `CostContext.tasks` order."""
+    Group patterns cluster `meta.languages` alone.  The plan, its tasks in
+    `CostContext.tasks` order, is checked as it is built (`[validation]`)."""
     probe = file_exists if file_exists is not None else default_probe(meta.corpus_root)
 
     src_tpl = PathTemplate(meta.src_path_template, meta.corpus_mode)
@@ -251,10 +278,8 @@ def generate(
     if not pairs:
         raise ConfigError("discovery", "empty task set: no corpus files found")
 
-    patterns = {p for p, _ in meta.arch.enc_stacks + meta.arch.dec_stacks}
-    patterns |= {spec.pattern for spec in meta.adapters}
     groups: Optional[dict[str, str]] = None
-    if patterns & _GROUP_PATTERNS:
+    if meta.uses_groups:
         if meta.distance_matrix_path is None:
             raise ConfigError("clustering", "GROUP sharing patterns require a distance matrix")
         try:
@@ -302,10 +327,6 @@ def generate(
     allocator.local_search(ctx, task_dev, meta.search_budget, meta.seed)
 
     placed = {tid: tasks[tid].with_device(dev) for tid, dev in ctx.placement(task_dev).items()}
-    violations = validate_config(list(placed.values()), meta.topology)
-    if violations:
-        raise ConfigError("validation", "; ".join(violations))
-
     any_task = next(iter(placed.values()))
     return FullConfig(
         tasks=placed,
@@ -343,10 +364,7 @@ _META_SCALAR_KINDS = {
 
 def emit(cfg: FullConfig) -> str:
     """Serialize to YAML with stable key order; byte-deterministic.  Every
-    task must have a device: `parse` requires `node_gpu`."""
-    unplaced = sorted(tid for tid, task in cfg.tasks.items() if task.device is None)
-    if unplaced:
-        raise allocator.AllocationError(f"tasks without device: {', '.join(unplaced)}")
+    task of a `FullConfig` has the device that `parse` requires."""
     doc = {
         "enc_layers": list(cfg.enc_layers),
         "dec_layers": list(cfg.dec_layers),
@@ -450,10 +468,10 @@ _TASK_KEYS = frozenset(
 
 
 def parse(text: str | bytes) -> FullConfig:
-    """Inverse of emit: parse(emit(cfg)) == cfg.  Every field is checked
-    for its type here, so later stages see only well-typed values, and an
-    unknown key is an error.  Every task carries the file's layer counts.
-    Bytes are decoded as the YAML reader does (UTF-8, or UTF-16 by BOM)."""
+    """Inverse of emit: parse(emit(cfg)) == cfg.  A wrong type or an unknown
+    key is a `[parse]` error, so later stages see only well-typed values;
+    the `FullConfig` built checks the plan's rules (`[validation]`).  Bytes
+    are decoded as the YAML reader does (UTF-8, or UTF-16 by BOM)."""
     doc = _load_yaml(text, "parse")
     if not isinstance(doc, dict):
         raise ConfigError("parse", "top level must be a mapping")

@@ -220,8 +220,10 @@ class TaskSpec:
 
 def validate_task(task: TaskSpec) -> list[str]:
     """Check the per-task invariants; returns human-readable violations.
-    Layer counts are the plan's, not the task's: `validate_config` checks
-    them once per distinct tuple."""
+    Module i of a side is keyed (side, i, group), and adapter names are
+    strictly increasing, as `parse` reads a plan back.  Layer counts are
+    the plan's, not the task's: `validate_config` checks them once per
+    distinct tuple."""
     violations = []
     try:
         expected = task_id(task.src_lang, task.tgt_lang)
@@ -232,15 +234,22 @@ def validate_task(task: TaskSpec) -> list[str]:
             violations.append(f"task {task.id}: id does not match languages ({expected})")
     if not task.enc_modules or not task.dec_modules:
         violations.append(f"task {task.id}: needs at least one module per side")
+    for side, modules in ((Side.ENCODER, task.enc_modules), (Side.DECODER, task.dec_modules)):
+        for i, key in enumerate(modules):
+            if (key.side, key.position) != (side, i):
+                violations.append(f"task {task.id}: {side.value} module {i} is keyed {key}")
     if task.weight < 1:
         violations.append(f"task {task.id}: weight must be a positive integer")
     if task.introduce_at_training_step < 0:
         violations.append(f"task {task.id}: negative curriculum step")
-    for name, _ in task.adapters:
+    names = [name for name, _ in task.adapters]
+    for name in names:
         try:
             check_adapter_name(name)
         except ValueError as exc:
             violations.append(f"task {task.id}: {exc}")
+    if any(a >= b for a, b in zip(names, names[1:])):
+        violations.append(f"task {task.id}: adapter names are not sorted, each once")
     return violations
 
 

@@ -587,6 +587,10 @@ class TestBadInput:
                          id="start_step-some-tasks"),
             pytest.param(META_YAML.replace("[bg, de, en]", "[bg, DE, en]"),
                          "invalid language code: 'DE'", id="uppercase-language"),
+            # a matrix that nothing would read is named, not ignored
+            pytest.param(META_YAML + "distance_matrix: nope.txt\n",
+                         "distance_matrix: no sharing pattern or adapter uses groups",
+                         id="distance_matrix-without-groups"),
             pytest.param(
                 META_YAML + "adapters: [{name: %s, side: decoder, pattern: LANGUAGE}]\n"
                 % ("x" * 123),

@@ -24,10 +24,11 @@ from mmtplan.configgen import (
     default_probe,
     emit,
     generate,
+    load_full_config,
     load_meta_config,
     parse,
 )
-from mmtplan.core import ClusterTopology, DeviceId, Side, validate_config
+from mmtplan.core import ClusterTopology, DeviceId, ModuleKey, Side, validate_config
 from mmtplan.pathtmpl import CorpusMode
 from mmtplan.sharing import ArchSpec, SharingPattern
 
@@ -331,13 +332,13 @@ class TestRoundTrip:
         assert emit(backwards) == emit(cfg)
 
     def test_emit_rejects_an_unplaced_task(self):
-        # `parse` requires node_gpu, so such a plan would not read back
+        # `parse` requires node_gpu, so such a plan would not read back;
+        # emit never meets one, since no FullConfig holds an unplaced task
         cfg = generate(meta_for(["bg", "en"]), all_files_exist)
         task = cfg.tasks["train_en-bg"]
-        cfg.tasks["train_en-bg"] = replace(task, device=None)
-        with pytest.raises(allocator.AllocationError) as info:
-            emit(cfg)
-        assert str(info.value) == "[allocation] tasks without device: train_en-bg"
+        with pytest.raises(ConfigError) as info:
+            replace(cfg, tasks={**cfg.tasks, task.id: replace(task, device=None)})
+        assert str(info.value) == "[validation] task train_en-bg: no device"
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ConfigError):
@@ -467,7 +468,9 @@ adapter_name = st.text(
 
 @st.composite
 def full_configs(draw):
-    """Plans as `parse` returns them, with odd strings in every string field."""
+    """Plans as `parse` returns them, with odd strings in every string field.
+    Each is valid by construction: every task takes a slot of its own inside
+    the topology, and the first task on each device is active from step 0."""
     n_enc, n_dec = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     enc_layers = tuple(draw(st.lists(st.integers(1, 6), min_size=n_enc, max_size=n_enc)))
     dec_layers = tuple(draw(st.lists(st.integers(1, 6), min_size=n_dec, max_size=n_dec)))
@@ -480,9 +483,16 @@ def full_configs(draw):
         beta_intra=draw(st.sampled_from([100e9, 5e10, 10**11])),
         beta_inter=draw(st.sampled_from([12.5e9, 1e10, 7])),
     )
-    pairs = draw(st.lists(st.tuples(lang_code, lang_code), min_size=1, max_size=4, unique=True))
+    n_slots = topology.n_devices * topology.n_slots_per_gpu
+    pairs = draw(
+        st.lists(
+            st.tuples(lang_code, lang_code), min_size=1, max_size=min(4, n_slots), unique=True
+        )
+    )
+    slots = draw(st.permutations(range(n_slots)))
+    devices = [topology.devices()[s // topology.n_slots_per_gpu] for s in slots[: len(pairs)]]
     tasks = {}
-    for src, tgt in pairs:
+    for i, ((src, tgt), device) in enumerate(zip(pairs, devices)):
         task = make_task(
             src,
             tgt,
@@ -491,8 +501,8 @@ def full_configs(draw):
             enc_layers=enc_layers,
             dec_layers=dec_layers,
             weight=draw(st.integers(1, 10**6)),
-            intro=draw(st.integers(0, 10**6)),
-            device=draw(st.tuples(st.integers(0, 99), st.integers(0, 99))),
+            intro=draw(st.integers(0, 10**6)) if device in devices[:i] else 0,
+            device=device,
             transforms=draw(st.lists(odd_text, max_size=3)),
         )
         adapters = draw(st.dictionaries(adapter_name, odd_text, max_size=2))
@@ -524,6 +534,71 @@ class TestYamlPaths:
                 assert parse(text) == cfg
 
 
+def with_task(cfg, tid, **changes):
+    """`cfg` with task `tid` changed; construction checks the new plan."""
+    return replace(cfg, tasks={**cfg.tasks, tid: replace(cfg.tasks[tid], **changes)})
+
+
+class TestPlanBoundary:
+    """A `FullConfig` checks every plan rule where it is built, so each
+    one that exists reads back from its emitted text unchanged."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=full_configs())
+    def test_parse_inverts_emit(self, cfg):
+        text = emit(cfg)
+        assert parse(text) == cfg
+        assert emit(parse(text)) == text
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda cfg: replace(
+                cfg, tasks={("x" if k == "train_bg-en" else k): t for k, t in cfg.tasks.items()}),
+             "key x holds task train_bg-en"),
+            (lambda cfg: replace(cfg, enc_layers=(3,)),
+             "6 tasks, train_bg-de first, lack the plan's layer counts"),
+            (lambda cfg: with_task(cfg, "train_bg-en",
+                                   enc_modules=(ModuleKey(Side.DECODER, 0, "bg"),)),
+             "task train_bg-en: encoder module 0 is keyed decoder:0:bg"),
+            (lambda cfg: with_task(cfg, "train_bg-en",
+                                   enc_modules=(ModuleKey(Side.ENCODER, 3, "bg"),)),
+             "task train_bg-en: encoder module 0 is keyed encoder:3:bg"),
+            (lambda cfg: with_task(cfg, "train_bg-en",
+                                   adapters=(("sa", "sa:bg"), ("da", "da:en"))),
+             "task train_bg-en: adapter names are not sorted, each once"),
+            (lambda cfg: with_task(cfg, "train_bg-en",
+                                   adapters=(("da", "da:en"), ("da", "da:en"))),
+             "task train_bg-en: adapter names are not sorted, each once"),
+        ],
+        ids=["key-not-id", "plan-layers", "module-side", "module-position",
+             "adapters-unsorted", "adapter-twice"],
+    )
+    def test_plan_that_would_not_read_back_is_rejected(self, build, message):
+        meta = meta_for(
+            ["bg", "de", "en"],
+            adapters=(
+                AdapterSpec("da", Side.DECODER, (0,), SP.LANGUAGE),
+                AdapterSpec("sa", Side.ENCODER, (0,), SP.LANGUAGE),
+            ),
+        )
+        cfg = generate(meta, all_files_exist)
+        with pytest.raises(ConfigError) as info:
+            build(cfg)
+        assert str(info.value) == f"[validation] {message}"
+
+    def test_library_reader_checks_the_plan(self, tmp_path):
+        # the library's reader is the boundary too, not only the CLI
+        doc = yaml.safe_load(emit(generate(meta_for(["bg", "en"]), all_files_exist)))
+        doc["tasks"]["train_bg-en"]["weight"] = 0
+        path = tmp_path / "full.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError) as info:
+            load_full_config(str(path))
+        assert info.value.stage == "validation"
+        assert info.value.message == "task train_bg-en: weight must be a positive integer"
+
+
 class TestMetaRules:
     """Each meta rule is checked by the type that holds its value."""
 
@@ -543,11 +618,13 @@ class TestMetaRules:
             (lambda: AdapterSpec("", Side.DECODER, (0,), SP.LANGUAGE),
              "adapter name '' is not 1-122 printable ASCII characters"),
             (lambda: CurriculumStage(-5, 2), "curriculum: start_step must be >= 0, got -5"),
+            (lambda: meta_for(["bg", "en"], distance_matrix_path="nope.txt"),
+             "distance_matrix: no sharing pattern or adapter uses groups"),
         ],
         ids=[
             "no-langs", "uppercase-lang", "long-lang", "repeated-lang", "n_groups-0",
             "n_groups-above-langs", "no-enc-stack", "zero-layers", "empty-adapter-name",
-            "negative-start-step",
+            "negative-start-step", "matrix-without-groups",
         ],
     )
     def test_rule_checked_by_its_type(self, build, message):
