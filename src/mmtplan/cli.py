@@ -21,12 +21,10 @@ from .sharing import enumerate_modules
 
 def _cmd_generate(args) -> int:
     cfg = configgen.generate(configgen.load_meta_config(args.meta))
-    text = configgen.emit(cfg)
     if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
+        configgen.write_full_config(cfg, args.output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.buffer.write(configgen.emit(cfg).encode("utf-8"))
     return 0
 
 

@@ -8,8 +8,10 @@ nothing is left implicit.
 """
 from __future__ import annotations
 
+import json
 import math
 import os
+import re
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -39,8 +41,8 @@ from .sharing import (
 )
 
 
-# libyaml's loader and dumper where PyYAML was built with it; the
-# pure-Python classes, which give the same documents and bytes, elsewhere.
+# libyaml's loader where PyYAML was built with it; the pure-Python class,
+# which gives the same documents, elsewhere.
 class YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """A repeated mapping key is an error, not last-wins; `<<` merged keys may
     be overridden.  Names SafeConstructor, so it fits the pure-Python loader too."""
@@ -57,16 +59,23 @@ class YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         return mapping
 
 
-YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-# Line width for `emit`: no scalar is folded.  The two dumpers fold a long
-# quoted string at different places, so folding would make the bytes
-# depend on which one runs.  (libyaml's width is a C int.)
-_UNFOLDED = 2**31 - 1
 # What loading malformed YAML raises.  Besides YAMLError, PyYAML's
 # constructor raises ValueError for a timestamp that is no date
 # (2001-13-01) or an integer of more than 4300 digits, and libyaml's loader
 # a UnicodeEncodeError (a ValueError) for a str holding a lone surrogate.
-_YAML_ERRORS = (yaml.YAMLError, ValueError)
+# The pure-Python loader recurses once per nesting level.
+_YAML_ERRORS = (yaml.YAMLError, ValueError, RecursionError)
+# Characters a YAML reader does not read back from a JSON string as they
+# are: it rejects U+007F-U+009F (but U+0085), U+FFFE, U+FFFF and
+# surrogates, and takes U+0085, U+2028 and U+2029 as line breaks, which it
+# folds or trims spaces around.  `emit` writes them as JSON escapes, which
+# YAML reads the same.
+_YAML_UNSAFE = re.compile("[\x7f-\x9f\u2028\u2029\ud800-\udfff\ufffe\uffff]")
+# PyYAML reads numbers by YAML 1.1, whose float needs a `.` in its
+# mantissa: it reads JSON's `5e-06` as a string and `5.0e-06` as the float.
+# The topology's latencies and bandwidths are a plan's only floats, each a
+# top-level key on a line of its own.
+_BARE_MANTISSA = re.compile(r'(\n "(?:alpha|beta)_in(?:ter|tra)": \d+)(?=e)')
 
 
 _GROUP_PATTERNS = {
@@ -156,8 +165,9 @@ class MetaConfig:
 
 @dataclass(frozen=True)
 class FullConfig:
-    """An explicit plan, checked where it is built: `validate_config`, and
-    each task placed, keyed by its id and carrying the plan's layer counts.
+    """An explicit plan, checked where it is built: at least one task,
+    `validate_config`, and each task placed, keyed by its id and carrying
+    the plan's layer counts.
     Any violation is one `[validation]` error, so `parse(emit(cfg)) == cfg`.
     Do not mutate `tasks` after construction; use `dataclasses.replace`."""
 
@@ -168,7 +178,10 @@ class FullConfig:
 
     def __post_init__(self) -> None:
         tasks = list(self.tasks.values())
-        violations = [f"key {k} holds task {t.id}" for k, t in self.tasks.items() if k != t.id]
+        # every task carries the plan's layer counts, and `validate_config`
+        # checks them through the tasks, so a plan without one checks none
+        violations = [] if tasks else ["plan has no tasks"]
+        violations += [f"key {k} holds task {t.id}" for k, t in self.tasks.items() if k != t.id]
         violations += validate_config(tasks, self.topology)
         violations += sorted(f"task {t.id}: no device" for t in tasks if t.device is None)
         layers = (self.enc_layers, self.dec_layers)
@@ -363,8 +376,11 @@ _META_SCALAR_KINDS = {
 
 
 def emit(cfg: FullConfig) -> str:
-    """Serialize to YAML with stable key order; byte-deterministic.  Every
-    task of a `FullConfig` has the device that `parse` requires."""
+    """Serialize as JSON text with sorted keys, one value per line;
+    byte-deterministic.  JSON is a subset of YAML 1.2, and the text is
+    written so that YAML 1.1 readers (PyYAML, libyaml) read the same
+    document from it: a plan stays a YAML file.  Every task of a
+    `FullConfig` has the device that `parse` requires."""
     doc = {
         "enc_layers": list(cfg.enc_layers),
         "dec_layers": list(cfg.dec_layers),
@@ -386,13 +402,9 @@ def emit(cfg: FullConfig) -> str:
         if task.adapters:
             entry["adapters"] = {name: inst for name, inst in task.adapters}
         doc["tasks"][tid] = entry
-    return yaml.dump(
-        doc,
-        Dumper=YAML_DUMPER,
-        sort_keys=True,
-        default_flow_style=False,
-        width=_UNFOLDED,
-    )
+    text = json.dumps(doc, sort_keys=True, indent=1, ensure_ascii=False)
+    text = _YAML_UNSAFE.sub(lambda m: f"\\u{ord(m[0]):04x}", text)
+    return _BARE_MANTISSA.sub(r"\1.0", text) + "\n"
 
 
 def _load_yaml(data, stage: str, where: str = ""):
@@ -400,6 +412,36 @@ def _load_yaml(data, stage: str, where: str = ""):
         return yaml.load(data, Loader=YAML_LOADER)
     except _YAML_ERRORS as exc:
         raise ConfigError(stage, f"invalid YAML{where}: {exc}") from exc
+
+
+def _unique_keys(pairs: list) -> dict:
+    """`json.loads` hook: a repeated key sends the text to the YAML reader,
+    whose error names it."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        raise ValueError("repeated key")
+    return doc
+
+
+def _yaml_string(constant: str):
+    """`json.loads` hook: YAML 1.1 reads NaN and Infinity as strings, so
+    text holding them goes to the YAML reader."""
+    raise ValueError(f"{constant} is a string in YAML")
+
+
+def _load_plan(text: str | bytes):
+    """The document of a plan file.  JSON text, as `emit` writes it, is
+    read by the stdlib's C reader, with the meaning YAML gives it; any
+    other text by `YAML_LOADER`, so that a hand-written YAML plan is read
+    and a faulty one is reported by the YAML reader."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_yaml_string)
+    except RecursionError as exc:
+        # not retried as YAML: libyaml's reader recurses in C, and overflows
+        # the stack on text nested that deep
+        raise ConfigError("parse", f"invalid JSON: {exc}") from None
+    except ValueError:
+        return _load_yaml(text, "parse")
 
 
 def _typed(value, kind, what: str):
@@ -471,8 +513,8 @@ def parse(text: str | bytes) -> FullConfig:
     """Inverse of emit: parse(emit(cfg)) == cfg.  A wrong type or an unknown
     key is a `[parse]` error, so later stages see only well-typed values;
     the `FullConfig` built checks the plan's rules (`[validation]`).  Bytes
-    are decoded as the YAML reader does (UTF-8, or UTF-16 by BOM)."""
-    doc = _load_yaml(text, "parse")
+    are decoded as UTF-8, or UTF-16 by BOM."""
+    doc = _load_plan(text)
     if not isinstance(doc, dict):
         raise ConfigError("parse", "top level must be a mapping")
     try:
@@ -529,7 +571,7 @@ def load_full_config(path: str) -> FullConfig:
 
 
 def write_full_config(cfg: FullConfig, path: str) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(emit(cfg))
 
 

@@ -15,12 +15,12 @@ from typing import NamedTuple, Optional
 
 _LANG_RE = re.compile(r"[a-z0-9_]+")
 _DEVICE_RE = re.compile(r"(-?[0-9]+):(-?[0-9]+)")
-# Task ids and adapter names are the keys of an emitted plan.  libyaml's
-# dumper and PyYAML's pure-Python one lay out a key differently when it is
-# empty, holds a carriage return or is 123-128 characters long (libyaml
-# counts the UTF-8 bytes of a non-ASCII key), so both kinds of key are kept
-# to printable ASCII of 1-122 characters: a task id train_{src}-{tgt} of
-# two 57-character codes has 121.
+# Task ids and adapter names are the keys of a plan.  Both are kept to
+# printable ASCII of 1-122 characters (a task id train_{src}-{tgt} of two
+# 57-character codes has 121): the keys that plans written as YAML by
+# earlier versions could hold, so every plan read before is read under
+# the same rules, and no key comes near the 1024 characters a YAML reader
+# takes as an implicit key.
 MAX_LANG_LEN = 57
 MAX_ADAPTER_NAME_LEN = 122
 # The planner and the simulator build lists over every device.

@@ -76,7 +76,6 @@ class PurePythonLoader(yaml.SafeLoader):
 
 @pytest.fixture
 def pure_python_yaml(monkeypatch):
-    """Have `configgen` load and dump YAML with the pure-Python classes,
-    the ones that run where PyYAML has no libyaml."""
+    """Have `configgen` load YAML with the pure-Python class, the one that
+    runs where PyYAML has no libyaml."""
     monkeypatch.setattr(configgen, "YAML_LOADER", PurePythonLoader)
-    monkeypatch.setattr(configgen, "YAML_DUMPER", yaml.SafeDumper)

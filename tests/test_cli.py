@@ -126,6 +126,29 @@ class TestGenerate:
         assert main(["generate", str(workspace / "meta.yaml")]) == 0
         assert capsys.readouterr().out == out.read_text()
 
+    def test_non_ascii_plan_is_utf8_whatever_the_io_encoding(self, workspace):
+        # a plan holds non-ASCII text as it is, so it is written as UTF-8 to
+        # a file and to stdout, even where stdio would encode as ASCII
+        meta = workspace / "meta.yaml"
+        template = "{lang_pair}/train \u00e9\U0001d11e.{src_lang}"
+        meta.write_text(
+            META_YAML.replace("{lang_pair}/train.{src_lang}", template), encoding="utf-8"
+        )
+        for pair in ("bg-de", "bg-en", "de-bg", "de-en", "en-bg", "en-de"):
+            src = pair.split("-")[0]
+            (workspace / "corpus" / template.format(lang_pair=pair, src_lang=src)).touch()
+        out = workspace / "full.yaml"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mmtplan.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="ascii")
+        cli = [sys.executable, "-m", "mmtplan.cli", "generate", str(meta)]
+        to_file = subprocess.run([*cli, "-o", str(out)], env=env, capture_output=True)
+        to_stdout = subprocess.run(cli, env=env, capture_output=True)
+        assert (to_file.returncode, to_stdout.returncode) == (0, 0), to_stdout.stderr
+        assert to_stdout.stdout == out.read_bytes()
+        cfg = configgen.generate(configgen.load_meta_config(str(meta)))
+        assert configgen.parse(to_stdout.stdout) == cfg
+        assert cfg.tasks["train_bg-de"].src_path == "bg-de/train \u00e9\U0001d11e.bg"
+
     def test_seed_is_not_an_option(self, workspace):
         # the meta file's seed is the only one, so a plan is reproducible from it
         with pytest.raises(SystemExit) as exc:
@@ -233,7 +256,7 @@ tasks:
         out = generated(workspace)
         out.write_text(
             out.read_text().replace(
-                "introduce_at_training_step: 0", "introduce_at_training_step: 3"
+                '"introduce_at_training_step": 0', '"introduce_at_training_step": 3'
             )
         )
         capsys.readouterr()
@@ -255,11 +278,12 @@ class TestBadInput:
         one_error_line(capsys, "io")
 
     def test_unquoted_node_gpu(self, workspace, capsys):
-        # YAML 1.1 reads an unquoted 2:0 as the base-60 integer 120
+        # YAML 1.1 reads an unquoted 2:0 as the base-60 integer 120; the
+        # text is no longer JSON, so the YAML reader reads it
         out = generated(workspace)
         text = out.read_text()
-        assert "node_gpu: 0:1" in text
-        out.write_text(text.replace("node_gpu: 0:1", "node_gpu: 2:0", 1))
+        assert '"node_gpu": "0:1"' in text
+        out.write_text(text.replace('"node_gpu": "0:1"', '"node_gpu": 2:0', 1))
         capsys.readouterr()
         assert main(["validate", str(out)]) == 1
         err = one_error_line(capsys, "parse")
@@ -380,8 +404,8 @@ class TestBadInput:
     def test_infinite_bandwidth_in_full_config(self, workspace, capsys):
         out = generated(workspace)
         text = out.read_text()
-        assert "beta_inter: 12500000000.0" in text
-        out.write_text(text.replace("beta_inter: 12500000000.0", "beta_inter: .inf"))
+        assert '"beta_inter": 12500000000.0' in text
+        out.write_text(text.replace('"beta_inter": 12500000000.0', '"beta_inter": .inf'))
         capsys.readouterr()
         assert main(["validate", str(out)]) == 1
         assert "beta_inter must be finite" in one_error_line(capsys, "parse")
@@ -389,8 +413,8 @@ class TestBadInput:
     def test_overflowing_latency_in_full_config(self, workspace, capsys):
         out = generated(workspace)
         text = out.read_text()
-        assert "alpha_inter: 2.0e-05" in text
-        out.write_text(text.replace("alpha_inter: 2.0e-05", "alpha_inter: 1" + "0" * 400))
+        assert '"alpha_inter": 2.0e-05' in text
+        out.write_text(text.replace('"alpha_inter": 2.0e-05', '"alpha_inter": 1' + "0" * 400))
         capsys.readouterr()
         assert main(["validate", str(out)]) == 1
         assert "alpha_inter must be finite" in one_error_line(capsys, "parse")
@@ -398,12 +422,14 @@ class TestBadInput:
     @pytest.mark.parametrize("command", ["validate", "allocate", "simulate"])
     @pytest.mark.parametrize(
         "line",
-        [b"\xff\xfe: 2\n", b"weight: 2001-13-01\n"],
+        [b'"\xff\xfe": 2', b'"weight": 2001-13-01'],
         ids=["non-utf8", "bad-timestamp"],
     )
     def test_unloadable_full_config(self, workspace, capsys, command, line):
         out = generated(workspace)
-        out.write_bytes(out.read_bytes() + line)
+        text = out.read_bytes()
+        assert b'"weight": 1\n' in text
+        out.write_bytes(text.replace(b'"weight": 1\n', line + b"\n", 1))
         capsys.readouterr()
         assert main([command, str(out)]) == 1
         assert "invalid YAML" in one_error_line(capsys, "parse")
@@ -416,12 +442,13 @@ class TestBadInput:
         out = generated(workspace)
         text = out.read_text()
         if repeat == "task id":
-            block = re.search(r"^  train_de-en:\n(?:    .*\n)+", text, re.M)[0]
-            text += block
+            block = re.search(r'^  "train_de-en": \{\n(?:   .*\n)+  \}', text, re.M)[0]
+            text = text.replace(block, f"{block},\n{block}")
             key = "'train_de-en'"
         else:
-            assert "    node_gpu: 0:0\n" in text
-            text = text.replace("    node_gpu: 0:0\n", "    node_gpu: 0:0\n    node_gpu: 0:1\n", 1)
+            field = '   "node_gpu": "0:0",\n'
+            assert field in text
+            text = text.replace(field, field + field.replace("0:0", "0:1"), 1)
             key = "'node_gpu'"
         out.write_text(text)
         if loader != "default":
@@ -465,8 +492,8 @@ class TestBadInput:
     def test_too_many_devices_in_full_config(self, workspace, capsys, command):
         out = generated(workspace)
         text = out.read_text()
-        assert "n_nodes: 1\n" in text and "n_gpus_per_node: 2\n" in text
-        out.write_text(text.replace("n_nodes: 1\n", "n_nodes: 32769\n"))
+        assert '"n_nodes": 1,\n' in text and '"n_gpus_per_node": 2,\n' in text
+        out.write_text(text.replace('"n_nodes": 1,\n', '"n_nodes": 32769,\n'))
         capsys.readouterr()
         assert main([command, str(out)]) == 1
         assert "devices, more than 65536" in one_error_line(capsys, "parse")
@@ -486,8 +513,8 @@ class TestBadInput:
     def test_weight_total_too_large_in_full_config(self, workspace, capsys, command):
         out = generated(workspace)
         text = out.read_text()
-        assert "weight: 1\n" in text
-        out.write_text(text.replace("weight: 1\n", "weight: 1%s\n" % ("0" * 400), 1))
+        assert '"weight": 1\n' in text
+        out.write_text(text.replace('"weight": 1\n', '"weight": 1%s\n' % ("0" * 400), 1))
         capsys.readouterr()
         assert main([command, str(out)]) == 1
         err = one_error_line(capsys, "validation")
@@ -627,6 +654,44 @@ class TestBadInput:
         assert one_error_line(capsys, "parse") == (
             "error: [parse] task train_de-en: node_gpu: required key is missing\n"
         )
+
+    @pytest.mark.parametrize("command", ["validate", "allocate", "simulate"])
+    def test_plan_without_tasks(self, tmp_path, capsys, command):
+        path = tmp_path / "empty.yaml"
+        path.write_text(
+            "enc_layers: [0]\ndec_layers: []\nn_nodes: 1\n"
+            "n_gpus_per_node: 1\nn_slots_per_gpu: 2\ntasks: {}\n"
+        )
+        assert main([command, str(path)]) == 1
+        assert one_error_line(capsys, "validation") == "error: [validation] plan has no tasks\n"
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_json_constant_is_a_yaml_string(self, workspace, capsys, constant):
+        # YAML 1.1 reads these as strings, so a plan reads them so too
+        out = generated(workspace)
+        text = out.read_text()
+        assert '"beta_inter": 12500000000.0' in text
+        out.write_text(text.replace('"beta_inter": 12500000000.0', f'"beta_inter": {constant}'))
+        capsys.readouterr()
+        assert main(["validate", str(out)]) == 1
+        assert one_error_line(capsys, "parse") == (
+            f"error: [parse] beta_inter: expected int or float, got '{constant}'\n"
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "allocate", "simulate"])
+    def test_deep_nesting_exits_1(self, tmp_path, command):
+        # in a process of its own: a reader that recursed in C on this text
+        # would overflow the stack and kill the process
+        path = tmp_path / "deep.yaml"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mmtplan.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmtplan.cli", command, str(path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: [parse] invalid JSON: maximum recursion depth")
+        assert proc.stderr.count("\n") == 1
 
     def test_task_list_instead_of_mapping(self, tmp_path, capsys):
         path = tmp_path / "list.yaml"

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -364,23 +365,107 @@ class TestRoundTrip:
         assert info.value.stage == "parse"
 
     def test_emitted_bytes_are_pinned(self):
-        # An adapter, a delayed task, non-default float alpha/beta and a
-        # path YAML must quote: a change of dumper or of its settings that
+        # An adapter, a delayed task, and an alpha whose shortest repr
+        # (1e-06) has no `.`: a change of writer or of its settings that
         # moves one byte shows here.
-        meta = meta_for(
-            ["bg", "en"],
-            src_path_template="corpus #1/{lang_pair}/train.{src_lang}",
-            topology=ClusterTopology(
-                1, 1, 2, alpha_intra=1e-06, alpha_inter=3e-05, beta_intra=5e10, beta_inter=1.25e10
-            ),
-            adapters=(AdapterSpec("da", Side.DECODER, (0,), SP.LANGUAGE),),
-            line_counts={"train_bg-en": 400, "train_en-bg": 100},
-            curriculum_stages=(CurriculumStage(5000, 200),),
-        )
-        assert emit(generate(meta, all_files_exist)) == PINNED_EMIT
+        assert emit(generate(pinned_meta(), all_files_exist)) == PINNED_EMIT
+
+    def test_hand_written_yaml_plan(self):
+        # a plan as YAML, as earlier versions wrote it, reads as the same plan
+        assert parse(YAML_PLAN) == generate(pinned_meta(), all_files_exist)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 5000 + "]" * 5000,
+            '{"tasks": ' + "[" * 5000 + "]" * 5000 + "}",
+            "a: " + "[" * 5000 + "]" * 5000,  # YAML only
+        ],
+        ids=["json-list", "json-value", "yaml-value"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, text):
+        with pytest.raises(ConfigError) as info:
+            parse(text)
+        assert info.value.stage == "parse"
+
+
+def pinned_meta():
+    return meta_for(
+        ["bg", "en"],
+        src_path_template="corpus #1/{lang_pair}/train.{src_lang}",
+        topology=ClusterTopology(
+            1, 1, 2, alpha_intra=1e-06, alpha_inter=3e-05, beta_intra=5e10, beta_inter=1.25e10
+        ),
+        adapters=(AdapterSpec("da", Side.DECODER, (0,), SP.LANGUAGE),),
+        line_counts={"train_bg-en": 400, "train_en-bg": 100},
+        curriculum_stages=(CurriculumStage(5000, 200),),
+    )
 
 
 PINNED_EMIT = """\
+{
+ "alpha_inter": 3.0e-05,
+ "alpha_intra": 1.0e-06,
+ "beta_inter": 12500000000.0,
+ "beta_intra": 50000000000.0,
+ "dec_layers": [
+  2
+ ],
+ "enc_layers": [
+  2
+ ],
+ "n_gpus_per_node": 1,
+ "n_nodes": 1,
+ "n_slots_per_gpu": 2,
+ "tasks": {
+  "train_bg-en": {
+   "adapters": {
+    "da": "da:en"
+   },
+   "dec_sharing_groups": [
+    "en"
+   ],
+   "enc_sharing_groups": [
+    "bg"
+   ],
+   "introduce_at_training_step": 0,
+   "node_gpu": "0:0",
+   "path_src": "corpus #1/bg-en/train.bg",
+   "path_tgt": "bg-en/train.en",
+   "src_tgt": "bg-en",
+   "transforms": [
+    "subword",
+    "filter"
+   ],
+   "weight": 4
+  },
+  "train_en-bg": {
+   "adapters": {
+    "da": "da:bg"
+   },
+   "dec_sharing_groups": [
+    "bg"
+   ],
+   "enc_sharing_groups": [
+    "en"
+   ],
+   "introduce_at_training_step": 5000,
+   "node_gpu": "0:0",
+   "path_src": "corpus #1/en-bg/train.en",
+   "path_tgt": "en-bg/train.bg",
+   "src_tgt": "en-bg",
+   "transforms": [
+    "subword",
+    "filter"
+   ],
+   "weight": 1
+  }
+ }
+}
+"""
+
+# The plan above as YAML, in the layout earlier versions wrote.
+YAML_PLAN = """\
 alpha_inter: 3.0e-05
 alpha_intra: 1.0e-06
 beta_inter: 12500000000.0
@@ -434,15 +519,18 @@ class TestRoundTripPurePython(TestRoundTrip):
 
 
 # Strings an emitted plan may hold: YAML 1.1 traps (no, 2:0, 1e3, ~, ''),
-# path characters that force quoting, any unicode but lone surrogates
-# (astral, control and line-break characters too), and strings past the
-# 80 columns a dumper folds at by default.
+# path characters that force quoting in YAML, any unicode but lone
+# surrogates (astral, control and line-break characters too, with the
+# ones YAML reads otherwise than JSON next to spaces), and long strings.
 _TRAPS = [
     "no", "yes", "on", "null", "~", "", "2:0", "0:1", "1e3", "1_000", "0o17",
     ".inf", "-1", "a b", "{x}", "a: b", "#c", "a #b", "- x", "-x", "? x",
     "'q'", '"d"', "|", ">", "*a", "&a", "!t", "%x", "@x", "`x", " lead", "trail ",
 ]
-_PIECES = _TRAPS + ["corpus", "/", "é", "Ω", "\U0001d11e", "\t", "\r", "\n", "a" * 30]
+_PIECES = _TRAPS + [
+    "corpus", "/", "é", "Ω", "\U0001d11e", "\t", "\r", "\n", "a" * 30,
+    "\x7f", "\x85", "\x9f", "\u2028", "\u2029", "\ufeff", "\ufffe", "\uffff",
+]
 odd_text = st.one_of(
     st.sampled_from(_TRAPS),
     st.text(),
@@ -450,12 +538,9 @@ odd_text = st.one_of(
     st.lists(st.sampled_from(_PIECES), max_size=40).map(" ".join),
     st.lists(st.sampled_from(_PIECES), max_size=40).map("".join),
 )
-# Mapping keys (task ids, adapter names) are drawn where the two dumpers
-# agree on them: non-empty printable ASCII of at most 122 characters.  One
-# writes a simple key and the other an explicit `? ` key, which read back
-# the same, for an empty key, one holding a carriage return, and one of
-# 123-128 characters (PyYAML counts the implicit `!!str` tag in a key's
-# length, libyaml does not, and libyaml counts UTF-8 bytes).
+# Mapping keys (task ids, adapter names) are drawn as a plan allows them:
+# language codes of up to 57 characters, and adapter names of 1-122
+# printable ASCII characters.
 lang_code = st.one_of(
     st.sampled_from(["no", "yes", "on", "null", "0", "1e3", "1_000", "0o17"]),
     st.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=8),
@@ -480,7 +565,7 @@ def full_configs(draw):
         draw(st.integers(1, 4)),
         alpha_intra=draw(st.sampled_from([0, 1e-06, 5e-06, 1.5e-05])),
         alpha_inter=draw(st.sampled_from([2e-05, 1e-04, 3])),
-        beta_intra=draw(st.sampled_from([100e9, 5e10, 10**11])),
+        beta_intra=draw(st.sampled_from([100e9, 5e10, 10**11, 1e16])),
         beta_inter=draw(st.sampled_from([12.5e9, 1e10, 7])),
     )
     n_slots = topology.n_devices * topology.n_slots_per_gpu
@@ -517,21 +602,21 @@ def full_configs(draw):
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 class TestYamlPaths:
-    """libyaml's classes and the pure-Python ones, which `configgen` uses
-    where PyYAML has no libyaml, give the same bytes and documents."""
+    """An emitted plan is JSON text that libyaml's loader and the
+    pure-Python one, which `configgen` uses where PyYAML has no libyaml,
+    read as the same document; each reads a YAML plan the same way."""
 
     @settings(max_examples=200, deadline=None)
     @given(cfg=full_configs())
-    def test_libyaml_and_pure_python_agree(self, cfg):
-        with mock.patch.object(configgen, "YAML_DUMPER", yaml.CSafeDumper):
-            text = emit(cfg)
-        with mock.patch.object(configgen, "YAML_DUMPER", yaml.SafeDumper):
-            assert emit(cfg) == text
-        doc = yaml.load(text, Loader=yaml.CSafeLoader)
-        assert doc == yaml.load(text, Loader=yaml.SafeLoader)
+    def test_yaml_readers_read_the_json_document(self, cfg):
+        text = emit(cfg)
+        doc = json.loads(text)
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == doc
+        assert yaml.load(text, Loader=yaml.SafeLoader) == doc
+        yaml_text = yaml.safe_dump(doc)
         for loader in (yaml.CSafeLoader, yaml.SafeLoader):
             with mock.patch.object(configgen, "YAML_LOADER", loader):
-                assert parse(text) == cfg
+                assert parse(yaml_text) == cfg
 
 
 def with_task(cfg, tid, **changes):
@@ -556,6 +641,7 @@ class TestPlanBoundary:
             (lambda cfg: replace(
                 cfg, tasks={("x" if k == "train_bg-en" else k): t for k, t in cfg.tasks.items()}),
              "key x holds task train_bg-en"),
+            (lambda cfg: replace(cfg, tasks={}), "plan has no tasks"),
             (lambda cfg: replace(cfg, enc_layers=(3,)),
              "6 tasks, train_bg-de first, lack the plan's layer counts"),
             (lambda cfg: with_task(cfg, "train_bg-en",
@@ -571,7 +657,7 @@ class TestPlanBoundary:
                                    adapters=(("da", "da:en"), ("da", "da:en"))),
              "task train_bg-en: adapter names are not sorted, each once"),
         ],
-        ids=["key-not-id", "plan-layers", "module-side", "module-position",
+        ids=["key-not-id", "no-tasks", "plan-layers", "module-side", "module-position",
              "adapters-unsorted", "adapter-twice"],
     )
     def test_plan_that_would_not_read_back_is_rejected(self, build, message):
@@ -710,7 +796,11 @@ seed: 11
             "enc_sharing: [{pattern: FULL, layers: 1}]\n"
             "dec_sharing: [{pattern: FULL, layers: 1}]\n" + keys
         )
-        full = parse("enc_layers: [1]\ndec_layers: [1]\ntasks: {}\n" + keys)
+        full = parse(
+            "enc_layers: [1]\ndec_layers: [1]\n"
+            "tasks: {train_bg-en: {src_tgt: bg-en, path_src: x, path_tgt: y,"
+            " enc_sharing_groups: [a], dec_sharing_groups: [b], node_gpu: '0:0'}}\n" + keys
+        )
         assert load_meta_config(str(tmp_path / "meta.yaml")).topology == full.topology
 
     def test_adapter_position_out_of_bounds(self):
