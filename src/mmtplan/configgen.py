@@ -28,6 +28,7 @@ from .core import (
     TaskSpec,
     check_adapter_name,
     check_language,
+    check_text,
     task_id,
     validate_config,
 )
@@ -153,6 +154,8 @@ class MetaConfig:
                 raise ValueError(f"adapters: duplicate name {spec.name}")
         if self.distance_matrix_path is not None and not self.uses_groups:
             raise ValueError("distance_matrix: no sharing pattern or adapter uses groups")
+        for name in ("src_path_template", "tgt_path_template", "noise_transform"):
+            check_text(getattr(self, name), name)
 
     @property
     def uses_groups(self) -> bool:
@@ -184,8 +187,8 @@ class FullConfig:
         violations += [f"key {k} holds task {t.id}" for k, t in self.tasks.items() if k != t.id]
         violations += validate_config(tasks, self.topology)
         violations += sorted(f"task {t.id}: no device" for t in tasks if t.device is None)
-        layers = (self.enc_layers, self.dec_layers)
-        off = sorted(t.id for t in tasks if (t.enc_layers, t.dec_layers) != layers)
+        enc, dec = self.enc_layers, self.dec_layers
+        off = sorted(t.id for t in tasks if t.enc_layers != enc or t.dec_layers != dec)
         if off:
             violations.append(f"{len(off)} tasks, {off[0]} first, lack the plan's layer counts")
         if violations:
@@ -375,19 +378,28 @@ _META_SCALAR_KINDS = {
 }
 
 
+# What `emit` writes a task with: sorted keys and the default separators.
+# The C encoder runs only where `indent` is None; with any indent, `json`
+# falls back to its pure-Python one.
+_ENCODE = json.JSONEncoder(ensure_ascii=False, check_circular=False, sort_keys=True).encode
+
+
 def emit(cfg: FullConfig) -> str:
-    """Serialize as JSON text with sorted keys, one value per line;
-    byte-deterministic.  JSON is a subset of YAML 1.2, and the text is
-    written so that YAML 1.1 readers (PyYAML, libyaml) read the same
-    document from it: a plan stays a YAML file.  Every task of a
-    `FullConfig` has the device that `parse` requires."""
-    doc = {
+    """Serialize as JSON text with sorted keys, byte-deterministic: each
+    top-level key on a line of its own, and under `tasks` one task per
+    line, `"<id>": {...}`, so a changed task is one changed line.  JSON is
+    a subset of YAML 1.2, and the text is written so that YAML 1.1 readers
+    (PyYAML, libyaml) read the same document from it: a plan stays a YAML
+    file.  Every task of a `FullConfig` has the device that `parse`
+    requires."""
+    top = {
         "enc_layers": list(cfg.enc_layers),
         "dec_layers": list(cfg.dec_layers),
         **{key: getattr(cfg.topology, key) for key in _TOPOLOGY_KINDS},
-        "tasks": {},
     }
-    for tid, task in cfg.tasks.items():
+    lines = []
+    for tid in sorted(cfg.tasks):
+        task = cfg.tasks[tid]
         entry = {
             "src_tgt": f"{task.src_lang}-{task.tgt_lang}",
             "path_src": task.src_path,
@@ -400,11 +412,15 @@ def emit(cfg: FullConfig) -> str:
             "node_gpu": str(task.device),
         }
         if task.adapters:
-            entry["adapters"] = {name: inst for name, inst in task.adapters}
-        doc["tasks"][tid] = entry
-    text = json.dumps(doc, sort_keys=True, indent=1, ensure_ascii=False)
-    text = _YAML_UNSAFE.sub(lambda m: f"\\u{ord(m[0]):04x}", text)
-    return _BARE_MANTISSA.sub(r"\1.0", text) + "\n"
+            entry["adapters"] = dict(task.adapters)
+        lines.append(f"  {_ENCODE(tid)}: {_ENCODE(entry)}")
+    head = "{\n" + "".join(f" {_ENCODE(k)}: {_ENCODE(v)},\n" for k, v in sorted(top.items()))
+    # "tasks" sorts after every other top-level key
+    text = _BARE_MANTISSA.sub(r"\1.0", head) + ' "tasks": {\n' + ",\n".join(lines) + "\n }\n}\n"
+    # every character the pass escapes is U+007F or not ASCII
+    if "\x7f" in text or not text.isascii():
+        text = _YAML_UNSAFE.sub(lambda m: f"\\u{ord(m[0]):04x}", text)
+    return text
 
 
 def _load_yaml(data, stage: str, where: str = ""):
@@ -501,22 +517,46 @@ def _check_keys(doc: dict, known: frozenset, where: str = "") -> None:
 
 
 _PLAN_KEYS = frozenset({"enc_layers", "dec_layers", "tasks", *_TOPOLOGY_KINDS})
-_TASK_KEYS = frozenset(
-    {
-        "src_tgt", "path_src", "path_tgt", "enc_sharing_groups", "dec_sharing_groups",
-        "transforms", "weight", "introduce_at_training_step", "node_gpu", "adapters",
-    }
+# A task entry's fields after src_tgt as (key, kind, default), in the order
+# `parse` checks them.  A list's entries are strings, and so are an
+# adapter mapping's names and values.
+_TASK_FIELDS = (
+    ("enc_sharing_groups", list, MISSING),
+    ("dec_sharing_groups", list, MISSING),
+    ("adapters", dict, {}),
+    ("path_src", str, MISSING),
+    ("path_tgt", str, MISSING),
+    ("weight", int, 1),
+    ("introduce_at_training_step", int, 0),
+    ("transforms", list, []),
+    ("node_gpu", str, MISSING),
 )
+_TASK_KEYS = frozenset({"src_tgt", *(key for key, _, _ in _TASK_FIELDS)})
 
 
 def parse(text: str | bytes) -> FullConfig:
     """Inverse of emit: parse(emit(cfg)) == cfg.  A wrong type or an unknown
     key is a `[parse]` error, so later stages see only well-typed values;
     the `FullConfig` built checks the plan's rules (`[validation]`).  Bytes
-    are decoded as UTF-8, or UTF-16 by BOM."""
+    are decoded as UTF-8, or UTF-16 by BOM.
+
+    A value whose type is exactly the one its field takes is read as it
+    is; any other goes to `_get` or `_typed`, which accept it or word its
+    error.  Tasks share one `ModuleKey` tuple per side and group sequence,
+    and one `DeviceId` per `node_gpu`, as equal values."""
     doc = _load_plan(text)
     if not isinstance(doc, dict):
         raise ConfigError("parse", "top level must be a mapping")
+    modules: dict[tuple, tuple[ModuleKey, ...]] = {}
+    devices: dict[str, DeviceId] = {}
+
+    def module_keys(side: Side, groups: list) -> tuple[ModuleKey, ...]:
+        seq = (side, *groups)
+        keys = modules.get(seq)
+        if keys is None:
+            keys = modules[seq] = tuple(ModuleKey(side, i, g) for i, g in enumerate(groups))
+        return keys
+
     try:
         _check_keys(doc, _PLAN_KEYS)
         topo = ClusterTopology(**_fields(doc, ClusterTopology, _TOPOLOGY_KINDS))
@@ -524,36 +564,52 @@ def parse(text: str | bytes) -> FullConfig:
         dec_layers = tuple(_get_list(doc, "dec_layers", int))
         tasks: dict[str, TaskSpec] = {}
         for tid, entry in _get(doc, "tasks", dict).items():
-            where = f"task {_typed(tid, str, 'task id')}: "
-            entry = _typed(entry, dict, where + "entry")
-            _check_keys(entry, _TASK_KEYS, where)
+            if type(tid) is not str:
+                _typed(tid, str, "task id")
+            where = f"task {tid}: "
+            if type(entry) is not dict:
+                _typed(entry, dict, where + "entry")
+            if not entry.keys() <= _TASK_KEYS:
+                _check_keys(entry, _TASK_KEYS, where)
             src, dash, tgt = _get(entry, "src_tgt", str, where).partition("-")
             if not dash:
                 raise ValueError(f"{where}src_tgt {src!r} is not <src>-<tgt>")
-            enc_groups = _get_list(entry, "enc_sharing_groups", str, where)
-            dec_groups = _get_list(entry, "dec_sharing_groups", str, where)
-            enc = tuple(ModuleKey(Side.ENCODER, i, g) for i, g in enumerate(enc_groups))
-            dec = tuple(ModuleKey(Side.DECODER, i, g) for i, g in enumerate(dec_groups))
-            adapters = _get(entry, "adapters", dict, where, default={})
-            for name in [*adapters, *adapters.values()]:
-                _typed(name, str, where + "adapters")
+            values = []
+            for key, kind, default in _TASK_FIELDS:
+                value = entry.get(key, default)
+                if type(value) is not kind:
+                    value = _get(entry, key, kind, where, default)
+                if kind is list:
+                    for item in value:
+                        if type(item) is not str:
+                            _typed(item, str, f"{where}{key} entry")
+                elif kind is dict:
+                    for name in [*value, *value.values()]:
+                        if type(name) is not str:
+                            _typed(name, str, where + key)
+                values.append(value)
+            (enc_groups, dec_groups, adapters, src_path, tgt_path,
+             weight, step, transforms, node_gpu) = values
+            device = devices.get(node_gpu)
+            if device is None:
+                device = devices[node_gpu] = _get(
+                    entry, "node_gpu", str, where, convert=DeviceId.parse
+                )
             tasks[tid] = TaskSpec(
                 id=tid,
                 src_lang=src,
                 tgt_lang=tgt,
-                src_path=_get(entry, "path_src", str, where),
-                tgt_path=_get(entry, "path_tgt", str, where),
-                enc_modules=enc,
-                dec_modules=dec,
+                src_path=src_path,
+                tgt_path=tgt_path,
+                enc_modules=module_keys(Side.ENCODER, enc_groups),
+                dec_modules=module_keys(Side.DECODER, dec_groups),
                 enc_layers=enc_layers,
                 dec_layers=dec_layers,
-                weight=_get(entry, "weight", int, where, default=1),
-                introduce_at_training_step=_get(
-                    entry, "introduce_at_training_step", int, where, default=0
-                ),
-                transforms=tuple(_get_list(entry, "transforms", str, where, [])),
+                weight=weight,
+                introduce_at_training_step=step,
+                transforms=tuple(transforms),
                 adapters=tuple(sorted(adapters.items())),
-                device=_get(entry, "node_gpu", str, where, convert=DeviceId.parse),
+                device=device,
             )
     except ValueError as exc:
         raise ConfigError("parse", str(exc)) from None
@@ -625,6 +681,13 @@ def load_meta_config(path: str) -> MetaConfig:
     doc = _load_meta_yaml(path)
     if not isinstance(doc, dict):
         raise ConfigError("meta", "meta-configuration must be a mapping")
+    # as written: the meta file's directory, which they are resolved
+    # against, may hold the surrogate escapes of bytes that are no UTF-8
+    for key in ("corpus_root", "distance_matrix", "line_counts"):
+        try:
+            check_text(doc.get(key), key)
+        except ValueError as exc:
+            raise ConfigError("meta", str(exc)) from None
 
     def resolve(p: Optional[str]) -> Optional[str]:
         if p is None:

@@ -15,6 +15,8 @@ from typing import NamedTuple, Optional
 
 _LANG_RE = re.compile(r"[a-z0-9_]+")
 _DEVICE_RE = re.compile(r"(-?[0-9]+):(-?[0-9]+)")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_TASK_ID = "train_{}-{}".format
 # Task ids and adapter names are the keys of a plan.  Both are kept to
 # printable ASCII of 1-122 characters (a task id train_{src}-{tgt} of two
 # 57-character codes has 121): the keys that plans written as YAML by
@@ -79,6 +81,15 @@ def check_adapter_name(name: str) -> None:
         )
 
 
+def check_text(text: str, what: str) -> None:
+    """A string that names a file or goes into a plan holds no surrogate.
+    No UTF-8 text holds one and libyaml's reader rejects one, but
+    `json.loads` and the pure-Python YAML reader read one from a `\\ud800`
+    escape.  `what` names the string in the error; a non-string passes."""
+    if isinstance(text, str) and not text.isascii() and _SURROGATE.search(text):
+        raise ValueError(f"{what} {text!r} holds a lone surrogate, which UTF-8 cannot encode")
+
+
 def task_id(src: str, tgt: str) -> str:
     """Deterministic task identifier for a translation direction.
 
@@ -86,7 +97,7 @@ def task_id(src: str, tgt: str) -> str:
     """
     check_language(src)
     check_language(tgt)
-    return f"train_{src}-{tgt}"
+    return _TASK_ID(src, tgt)
 
 
 class ModuleKey(NamedTuple):
@@ -220,37 +231,69 @@ class TaskSpec:
 
 def validate_task(task: TaskSpec) -> list[str]:
     """Check the per-task invariants; returns human-readable violations.
-    Module i of a side is keyed (side, i, group), and adapter names are
-    strictly increasing, as `parse` reads a plan back.  Layer counts are
-    the plan's, not the task's: `validate_config` checks them once per
-    distinct tuple."""
-    violations = []
+    Module i of a side is keyed (side, i, group), adapter names are
+    strictly increasing, as `parse` reads a plan back, and no path,
+    transform, group or adapter instance holds a surrogate (`check_text`).
+    Layer counts are the plan's, not the task's: `validate_config` checks
+    them once per distinct tuple."""
+    return _task_violations(task, set())
+
+
+def _task_violations(task: TaskSpec, valid: set) -> list[str]:
+    """`validate_task`, where `valid` holds the language codes that the
+    caller has found valid, and gains those found valid here."""
+    found = []
     try:
-        expected = task_id(task.src_lang, task.tgt_lang)
+        for code in (task.src_lang, task.tgt_lang):
+            if not (type(code) is str and code in valid):
+                valid.add(check_language(code))
     except ValueError as exc:
-        violations.append(f"task {task.id}: {exc}")
+        found.append(str(exc))
     else:
+        expected = _TASK_ID(task.src_lang, task.tgt_lang)
         if task.id != expected:
-            violations.append(f"task {task.id}: id does not match languages ({expected})")
+            found.append(f"id does not match languages ({expected})")
     if not task.enc_modules or not task.dec_modules:
-        violations.append(f"task {task.id}: needs at least one module per side")
+        found.append("needs at least one module per side")
+    texts = [task.src_path, task.tgt_path, *task.transforms]
     for side, modules in ((Side.ENCODER, task.enc_modules), (Side.DECODER, task.dec_modules)):
         for i, key in enumerate(modules):
-            if (key.side, key.position) != (side, i):
-                violations.append(f"task {task.id}: {side.value} module {i} is keyed {key}")
+            if key.side != side or key.position != i:
+                found.append(f"{side.value} module {i} is keyed {key}")
+            texts.append(key.group)
     if task.weight < 1:
-        violations.append(f"task {task.id}: weight must be a positive integer")
+        found.append("weight must be a positive integer")
     if task.introduce_at_training_step < 0:
-        violations.append(f"task {task.id}: negative curriculum step")
-    names = [name for name, _ in task.adapters]
-    for name in names:
-        try:
-            check_adapter_name(name)
-        except ValueError as exc:
-            violations.append(f"task {task.id}: {exc}")
-    if any(a >= b for a, b in zip(names, names[1:])):
-        violations.append(f"task {task.id}: adapter names are not sorted, each once")
-    return violations
+        found.append("negative curriculum step")
+    if task.adapters:
+        names = [name for name, _ in task.adapters]
+        for name in names:
+            try:
+                check_adapter_name(name)
+            except ValueError as exc:
+                found.append(str(exc))
+        if any(a >= b for a, b in zip(names, names[1:])):
+            found.append("adapter names are not sorted, each once")
+        texts += [instance for _, instance in task.adapters]
+    try:
+        plain = "".join(texts).isascii()
+    except TypeError:  # a non-string, which `check_text` passes by
+        plain = False
+    if not plain:
+        named = [
+            ("src_path", task.src_path),
+            ("tgt_path", task.tgt_path),
+            *((f"transform {i}", t) for i, t in enumerate(task.transforms)),
+            *((f"encoder module {i}", k.group) for i, k in enumerate(task.enc_modules)),
+            *((f"decoder module {i}", k.group) for i, k in enumerate(task.dec_modules)),
+            *((f"adapter {name}", instance) for name, instance in task.adapters),
+        ]
+        for what, text in named:
+            try:
+                check_text(text, what)
+            except ValueError as exc:
+                found.append(str(exc))
+    return [f"task {task.id}: {v}" for v in found] if found else found
 
 
 def validate_config(tasks: list[TaskSpec], topo: ClusterTopology) -> list[str]:
@@ -265,8 +308,9 @@ def validate_config(tasks: list[TaskSpec], topo: ClusterTopology) -> list[str]:
     """
     violations: list[str] = []
     by_id = sorted(tasks, key=lambda t: t.id)
+    valid: set = set()
     for task in by_id:
-        violations.extend(validate_task(task))
+        violations.extend(_task_violations(task, valid))
 
     for dup, n in sorted(Counter(t.id for t in tasks).items()):
         if n > 1:

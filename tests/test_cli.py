@@ -428,11 +428,23 @@ class TestBadInput:
     def test_unloadable_full_config(self, workspace, capsys, command, line):
         out = generated(workspace)
         text = out.read_bytes()
-        assert b'"weight": 1\n' in text
-        out.write_bytes(text.replace(b'"weight": 1\n', line + b"\n", 1))
+        assert b'"weight": 1}' in text
+        out.write_bytes(text.replace(b'"weight": 1}', line + b"}", 1))
         capsys.readouterr()
         assert main([command, str(out)]) == 1
         assert "invalid YAML" in one_error_line(capsys, "parse")
+
+    @pytest.mark.parametrize("command", ["validate", "allocate", "simulate"])
+    def test_surrogate_escape_in_full_config(self, workspace, capsys, command):
+        # `json.loads` reads the escape; no YAML reader or file call takes it
+        out = generated(workspace)
+        text = out.read_text()
+        assert '"path_src": "bg-de/train.bg"' in text
+        out.write_text(text.replace("bg-de/train.bg", "bg-de/train\\ud800.bg"))
+        capsys.readouterr()
+        assert main([command, str(out)]) == 1
+        err = one_error_line(capsys, "validation")
+        assert "task train_bg-de: src_path 'bg-de/train\\ud800.bg' holds a lone surrogate" in err
 
     # PyYAML keeps the last of two equal keys; a repeat is an error instead,
     # with libyaml's loader and with the pure-Python one
@@ -442,11 +454,11 @@ class TestBadInput:
         out = generated(workspace)
         text = out.read_text()
         if repeat == "task id":
-            block = re.search(r'^  "train_de-en": \{\n(?:   .*\n)+  \}', text, re.M)[0]
+            block = re.search(r'^  "train_de-en": \{.*\}', text, re.M)[0]
             text = text.replace(block, f"{block},\n{block}")
             key = "'train_de-en'"
         else:
-            field = '   "node_gpu": "0:0",\n'
+            field = '"node_gpu": "0:0", '
             assert field in text
             text = text.replace(field, field + field.replace("0:0", "0:1"), 1)
             key = "'node_gpu'"
@@ -513,8 +525,8 @@ class TestBadInput:
     def test_weight_total_too_large_in_full_config(self, workspace, capsys, command):
         out = generated(workspace)
         text = out.read_text()
-        assert '"weight": 1\n' in text
-        out.write_text(text.replace('"weight": 1\n', '"weight": 1%s\n' % ("0" * 400), 1))
+        assert '"weight": 1}' in text
+        out.write_text(text.replace('"weight": 1}', '"weight": 1%s}' % ("0" * 400), 1))
         capsys.readouterr()
         assert main([command, str(out)]) == 1
         err = one_error_line(capsys, "validation")

@@ -374,6 +374,28 @@ class TestRoundTrip:
         # a plan as YAML, as earlier versions wrote it, reads as the same plan
         assert parse(YAML_PLAN) == generate(pinned_meta(), all_files_exist)
 
+    def test_plans_in_earlier_layouts(self):
+        # one value per line, and YAML, read as the plan that is emitted now
+        cfg = generate(pinned_meta(), all_files_exist)
+        assert parse(INDENT_ONE_PLAN) == parse(YAML_PLAN) == parse(PINNED_EMIT) == cfg
+
+    def test_emit_uses_the_c_encoder(self):
+        # `json` encodes with its pure-Python encoder wherever `indent` is
+        # set, at several times the cost; under each task, one line
+        meta = meta_for(
+            ["bg", "de", "en"],
+            topology=ClusterTopology(2, 2, 3),
+            adapters=(AdapterSpec("da", Side.DECODER, (0,), SP.LANGUAGE),),
+        )
+        cfg = generate(meta, all_files_exist)
+        with mock.patch.object(json.encoder, "_make_iterencode", side_effect=AssertionError):
+            text = emit(cfg)
+        lines = text.splitlines()
+        assert len(lines) == 13 + len(cfg.tasks)
+        for tid in cfg.tasks:
+            (line,) = [line for line in lines if line.startswith(f'  "{tid}": ')]
+            assert json.loads("{" + line.rstrip(",") + "}")[tid] == json.loads(text)["tasks"][tid]
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -387,6 +409,108 @@ class TestRoundTrip:
         with pytest.raises(ConfigError) as info:
             parse(text)
         assert info.value.stage == "parse"
+
+
+DROP = object()  # the key is left out
+
+
+class TestParseErrors:
+    """Each fault in a task entry gives one exact `[parse]` line, which
+    names the task and the field; of two faults, the first in the
+    reader's order is reported."""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            pytest.param({key: DROP}, f"{key}: required key is missing", id=f"{key}-missing")
+            for key in (
+                "src_tgt", "path_src", "path_tgt", "enc_sharing_groups", "dec_sharing_groups",
+                "node_gpu",
+            )
+        ]
+        + [
+            pytest.param({key: value}, message, id=case)
+            for case, key, value, message in [
+                ("src_tgt-list", "src_tgt", [1], "src_tgt: expected str, got [1]"),
+                ("src_tgt-bool", "src_tgt", False, "src_tgt False is not a string; quote it"),
+                ("src_tgt-no-dash", "src_tgt", "bgen", "src_tgt 'bgen' is not <src>-<tgt>"),
+                ("path_src-mapping", "path_src", {}, "path_src: expected str, got {}"),
+                ("path_src-int", "path_src", 5, "path_src 5 is not a string; quote it"),
+                ("path_tgt-null", "path_tgt", None, "path_tgt: expected str, got None"),
+                ("enc_sharing_groups-string", "enc_sharing_groups", "bg",
+                 "enc_sharing_groups: expected list, got 'bg'"),
+                ("enc_sharing_groups-int-entry", "enc_sharing_groups", [1],
+                 "enc_sharing_groups entry 1 is not a string; quote it"),
+                ("dec_sharing_groups-mapping", "dec_sharing_groups", {},
+                 "dec_sharing_groups: expected list, got {}"),
+                ("dec_sharing_groups-null-entry", "dec_sharing_groups", ["en", None],
+                 "dec_sharing_groups entry: expected str, got None"),
+                ("transforms-string", "transforms", "subword",
+                 "transforms: expected list, got 'subword'"),
+                ("transforms-list-entry", "transforms", ["subword", []],
+                 "transforms entry: expected str, got []"),
+                ("weight-string", "weight", "4", "weight: expected int, got '4'"),
+                ("weight-float", "weight", 4.0, "weight: expected int, got 4.0"),
+                ("weight-bool", "weight", True, "weight: expected int, got True"),
+                ("introduce_at_training_step-float", "introduce_at_training_step", 1.5,
+                 "introduce_at_training_step: expected int, got 1.5"),
+                ("introduce_at_training_step-bool", "introduce_at_training_step", False,
+                 "introduce_at_training_step: expected int, got False"),
+                ("node_gpu-int", "node_gpu", 0, "node_gpu 0 is not a string; quote it"),
+                ("node_gpu-list", "node_gpu", ["0:0"], "node_gpu: expected str, got ['0:0']"),
+                ("node_gpu-dash", "node_gpu", "0-0", "node_gpu: device '0-0' is not node:gpu"),
+                ("node_gpu-empty", "node_gpu", "", "node_gpu: device '' is not node:gpu"),
+                ("node_gpu-letter", "node_gpu", "0:x", "node_gpu: device '0:x' is not node:gpu"),
+                ("adapters-list", "adapters", ["da"], "adapters: expected dict, got ['da']"),
+                ("adapters-int-name", "adapters", {1: "da:en"},
+                 "adapters 1 is not a string; quote it"),
+                ("adapters-int-value", "adapters", {"da": 5},
+                 "adapters 5 is not a string; quote it"),
+                ("adapters-null-value", "adapters", {"da": None},
+                 "adapters: expected str, got None"),
+                ("unknown-key", "wieght", 4, "unknown keys: wieght"),
+            ]
+        ]
+        + [
+            # with two faults, the first in the reader's order is reported
+            pytest.param({"src_tgt": "bgen", "enc_sharing_groups": "bg"},
+                         "src_tgt 'bgen' is not <src>-<tgt>", id="dash-before-groups"),
+            pytest.param({"enc_sharing_groups": [1], "dec_sharing_groups": "en"},
+                         "enc_sharing_groups entry 1 is not a string; quote it",
+                         id="entry-before-next-list"),
+            pytest.param({"adapters": {"da": 5}, "path_src": 5, "node_gpu": "x"},
+                         "adapters 5 is not a string; quote it", id="adapters-before-paths"),
+            pytest.param({"weight": "1", "transforms": [1], "node_gpu": 0},
+                         "weight: expected int, got '1'", id="weight-before-transforms"),
+            pytest.param({"weight": True, "wieght": 1}, "unknown keys: wieght",
+                         id="keys-before-fields"),
+        ],
+    )
+    def test_task_field_error(self, changes, message):
+        doc = json.loads(emit(generate(pinned_meta(), all_files_exist)))
+        entry = doc["tasks"]["train_bg-en"]
+        for key, value in changes.items():
+            if value is DROP:
+                del entry[key]
+            else:
+                entry[key] = value
+        # JSON keys are strings, so a mapping with another key is YAML
+        keys = [k for v in changes.values() if isinstance(v, dict) for k in v]
+        text = json.dumps(doc) if all(isinstance(k, str) for k in keys) else yaml.safe_dump(doc)
+        with pytest.raises(ConfigError) as info:
+            parse(text)
+        assert str(info.value) == f"[parse] task train_bg-en: {message}"
+
+    def test_task_entry_error(self):
+        doc = json.loads(emit(generate(pinned_meta(), all_files_exist)))
+        doc["tasks"]["train_bg-en"] = ["x"]
+        with pytest.raises(ConfigError) as info:
+            parse(json.dumps(doc))
+        assert str(info.value) == "[parse] task train_bg-en: entry: expected dict, got ['x']"
+        doc["tasks"][7] = doc["tasks"].pop("train_bg-en")
+        with pytest.raises(ConfigError) as info:
+            parse(yaml.safe_dump(doc))
+        assert str(info.value) == "[parse] task id 7 is not a string; quote it"
 
 
 def pinned_meta():
@@ -403,6 +527,26 @@ def pinned_meta():
 
 
 PINNED_EMIT = """\
+{
+ "alpha_inter": 3.0e-05,
+ "alpha_intra": 1.0e-06,
+ "beta_inter": 12500000000.0,
+ "beta_intra": 50000000000.0,
+ "dec_layers": [2],
+ "enc_layers": [2],
+ "n_gpus_per_node": 1,
+ "n_nodes": 1,
+ "n_slots_per_gpu": 2,
+ "tasks": {
+  "train_bg-en": {"adapters": {"da": "da:en"}, "dec_sharing_groups": ["en"], "enc_sharing_groups": ["bg"], "introduce_at_training_step": 0, "node_gpu": "0:0", "path_src": "corpus #1/bg-en/train.bg", "path_tgt": "bg-en/train.en", "src_tgt": "bg-en", "transforms": ["subword", "filter"], "weight": 4},
+  "train_en-bg": {"adapters": {"da": "da:bg"}, "dec_sharing_groups": ["bg"], "enc_sharing_groups": ["en"], "introduce_at_training_step": 5000, "node_gpu": "0:0", "path_src": "corpus #1/en-bg/train.en", "path_tgt": "en-bg/train.bg", "src_tgt": "en-bg", "transforms": ["subword", "filter"], "weight": 1}
+ }
+}
+"""
+
+# The plan above as JSON with one value per line, the layout of
+# `json.dumps(..., indent=1)` that earlier versions wrote.
+INDENT_ONE_PLAN = """\
 {
  "alpha_inter": 3.0e-05,
  "alpha_intra": 1.0e-06,
@@ -673,6 +817,25 @@ class TestPlanBoundary:
             build(cfg)
         assert str(info.value) == f"[validation] {message}"
 
+    @pytest.mark.parametrize("loader", ["json", "yaml-pure-python"])
+    def test_surrogate_escape_is_rejected(self, loader):
+        # `json.loads` and the pure-Python YAML reader read the escape, and
+        # the plan boundary rejects the string, as a library plan's
+        doc = json.loads(emit(generate(pinned_meta(), all_files_exist)))
+        doc["tasks"]["train_bg-en"]["path_src"] = "PATH"
+        escaped = '"bg-en/train\\ud800.bg"'  # the same in JSON and YAML
+        if loader == "json":
+            text = json.dumps(doc).replace('"PATH"', escaped)
+        else:
+            text = yaml.safe_dump(doc).replace("PATH", escaped)
+        with mock.patch.object(configgen, "YAML_LOADER", yaml.SafeLoader):
+            with pytest.raises(ConfigError) as info:
+                parse(text)
+        assert str(info.value) == (
+            "[validation] task train_bg-en: src_path 'bg-en/train\\ud800.bg' holds a lone "
+            "surrogate, which UTF-8 cannot encode"
+        )
+
     def test_library_reader_checks_the_plan(self, tmp_path):
         # the library's reader is the boundary too, not only the CLI
         doc = yaml.safe_load(emit(generate(meta_for(["bg", "en"]), all_files_exist)))
@@ -706,11 +869,17 @@ class TestMetaRules:
             (lambda: CurriculumStage(-5, 2), "curriculum: start_step must be >= 0, got -5"),
             (lambda: meta_for(["bg", "en"], distance_matrix_path="nope.txt"),
              "distance_matrix: no sharing pattern or adapter uses groups"),
+            (lambda: meta_for(["bg", "en"], tgt_path_template="{lang_pair}/\ud800"),
+             "tgt_path_template '{lang_pair}/\\ud800' holds a lone surrogate, "
+             "which UTF-8 cannot encode"),
+            (lambda: meta_for(["bg", "en"], noise_transform="b\udfffrt"),
+             "noise_transform 'b\\udfffrt' holds a lone surrogate, which UTF-8 cannot encode"),
         ],
         ids=[
             "no-langs", "uppercase-lang", "long-lang", "repeated-lang", "n_groups-0",
             "n_groups-above-langs", "no-enc-stack", "zero-layers", "empty-adapter-name",
-            "negative-start-step", "matrix-without-groups",
+            "negative-start-step", "matrix-without-groups", "surrogate-template",
+            "surrogate-noise-transform",
         ],
     )
     def test_rule_checked_by_its_type(self, build, message):
@@ -779,6 +948,35 @@ seed: 11
         )
         with pytest.raises(ConfigError, match=r"\[meta\] langs entry False .*quote"):
             load_meta_config(str(tmp_path / "meta.yaml"))
+
+    @pytest.mark.usefixtures("pure_python_yaml")
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("src_path_template", '"x\\ud800"'),
+            ("corpus_root", '"c\\ud800"'),
+            ("distance_matrix", '"d\\udfff.txt"'),
+            ("line_counts", '"n\\udc80.yaml"'),
+            ("noise_transform", '"b\\ud800"'),
+        ],
+    )
+    def test_surrogate_escape_is_a_meta_error(self, tmp_path, key, value):
+        # libyaml's reader rejects the escape; the pure-Python one reads it
+        doc = {
+            "langs": "[bg, en]",
+            "src_path_template": "x",
+            "tgt_path_template": "y",
+            "enc_sharing": "[{pattern: FULL, layers: 1}]",
+            "dec_sharing": "[{pattern: FULL, layers: 1}]",
+            "n_gpus_per_node": "1",
+            "n_slots_per_gpu": "1",
+            key: value,
+        }
+        (tmp_path / "meta.yaml").write_text("".join(f"{k}: {v}\n" for k, v in doc.items()))
+        with pytest.raises(ConfigError) as info:
+            load_meta_config(str(tmp_path / "meta.yaml"))
+        assert str(info.value).startswith(f"[meta] {key} ")
+        assert str(info.value).endswith("holds a lone surrogate, which UTF-8 cannot encode")
 
     @pytest.mark.parametrize(
         "keys",

@@ -302,6 +302,48 @@ class TestValidateTask:
         task = make_task("aa", "bb", ["x"], ["y"], intro=-1)
         assert validate_task(task) == ["task train_aa-bb: negative curriculum step"]
 
+    @pytest.mark.parametrize(
+        "changes, what, text",
+        [
+            (dict(src_path="a/\ud800.aa"), "src_path", "a/\ud800.aa"),
+            (dict(tgt_path="\udfff"), "tgt_path", "\udfff"),
+            (dict(transforms=("subword", "x\udc80")), "transform 1", "x\udc80"),
+            (dict(enc_modules=(ModuleKey(Side.ENCODER, 0, "\udbff"),)), "encoder module 0",
+             "\udbff"),
+            (dict(dec_modules=(ModuleKey(Side.DECODER, 0, "y\ud800"),)), "decoder module 0",
+             "y\ud800"),
+            (dict(adapters=(("da", "da:\ud800"),)), "adapter da", "da:\ud800"),
+        ],
+        ids=["src_path", "tgt_path", "transform", "enc-group", "dec-group", "adapter"],
+    )
+    def test_surrogate_is_rejected(self, changes, what, text):
+        # no UTF-8 text holds one, so no file call or YAML reader takes it
+        task = replace(make_task("aa", "bb", ["x"], ["y"]), **changes)
+        assert validate_task(task) == [
+            f"task train_aa-bb: {what} {text!r} holds a lone surrogate, "
+            "which UTF-8 cannot encode"
+        ]
+
+    def test_each_task_reports_its_language_code(self):
+        # validate_config checks each distinct code once, and reports it
+        # for every task that holds it
+        tasks = [
+            replace(make_task(a, "bb", ["x"], ["y"]), src_lang="A")
+            for a in ("aa", "cc")
+        ]
+        assert validate_config(tasks, ClusterTopology(1, 1, 2)) == [
+            "task train_aa-bb: invalid language code: 'A'",
+            "task train_cc-bb: invalid language code: 'A'",
+        ]
+
+    def test_other_unicode_is_accepted(self):
+        task = replace(
+            make_task("aa", "bb", ["caf\u00e9"], ["\U0001d11e"]),
+            src_path="\u03a9/\x85\u2028\ufffe",
+            adapters=(("da", "da:\uffff"),),
+        )
+        assert validate_task(task) == []
+
 
 @pytest.mark.parametrize(
     "cls, stage",
