@@ -42,11 +42,21 @@ from .sharing import (
 )
 
 
-# libyaml's loader where PyYAML was built with it; the pure-Python class,
-# which gives the same documents, elsewhere.
-class YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+# PyYAML's Python composer, whose recursion ends in a RecursionError, on
+# libyaml's scanner and parser where PyYAML has libyaml (its own composer
+# recurses on the C stack, which 50,000 levels of nesting overflow), else on
+# the pure-Python ones: SafeLoader, which already has the composer.
+_C_LOADER = getattr(yaml, "CSafeLoader", None)
+_YAML_BASES = (yaml.composer.Composer, _C_LOADER) if _C_LOADER else (yaml.SafeLoader,)
+
+
+class YAML_LOADER(*_YAML_BASES):
     """A repeated mapping key is an error, not last-wins; `<<` merged keys may
     be overridden.  Names SafeConstructor, so it fits the pure-Python loader too."""
+
+    def __init__(self, stream):
+        _YAML_BASES[-1].__init__(self, stream)
+        yaml.composer.Composer.__init__(self)
 
     def construct_mapping(self, node, deep=False):
         pairs = node.value[:]  # before `<<` merges are flattened in
@@ -64,7 +74,7 @@ class YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 # constructor raises ValueError for a timestamp that is no date
 # (2001-13-01) or an integer of more than 4300 digits, and libyaml's loader
 # a UnicodeEncodeError (a ValueError) for a str holding a lone surrogate.
-# The pure-Python loader recurses once per nesting level.
+# The composer recurses once per nesting level.
 _YAML_ERRORS = (yaml.YAMLError, ValueError, RecursionError)
 # Characters a YAML reader does not read back from a JSON string as they
 # are: it rejects U+007F-U+009F (but U+0085), U+FFFE, U+FFFF and
@@ -152,8 +162,9 @@ class MetaConfig:
                 raise ValueError(f"adapter {spec.name}: position out of arch bounds")
             if spec.name in (other.name for other in self.adapters[:i]):
                 raise ValueError(f"adapters: duplicate name {spec.name}")
-        if self.distance_matrix_path is not None and not self.uses_groups:
-            raise ValueError("distance_matrix: no sharing pattern or adapter uses groups")
+        if (self.distance_matrix_path is None) == self.uses_groups:
+            which = "required where a" if self.uses_groups else "no"
+            raise ValueError(f"distance_matrix: {which} sharing pattern or adapter uses groups")
         for name in ("src_path_template", "tgt_path_template", "noise_transform"):
             check_text(getattr(self, name), name)
 
@@ -288,44 +299,39 @@ def generate(
 
     src_tpl = PathTemplate(meta.src_path_template, meta.corpus_mode)
     tgt_tpl = PathTemplate(meta.tgt_path_template, meta.corpus_mode)
-    pairs = discover_tasks(
+    found = discover_tasks(
         src_tpl, tgt_tpl, meta.languages, probe, include_self_pairs=meta.autoencoder
     )
-    if not pairs:
+    if not found:
         raise ConfigError("discovery", "empty task set: no corpus files found")
 
     groups: Optional[dict[str, str]] = None
     if meta.uses_groups:
-        if meta.distance_matrix_path is None:
-            raise ConfigError("clustering", "GROUP sharing patterns require a distance matrix")
         try:
             matrix = load_distance_matrix(meta.distance_matrix_path)
             groups = cluster_languages(matrix, meta.n_groups, meta.languages)
         except (OSError, ValueError) as exc:
             raise ConfigError("clustering", str(exc)) from exc
 
-    ids = {pair: task_id(*pair) for pair in pairs}
+    ids = [task_id(src, tgt) for src, tgt, _, _ in found]
     line_counts = meta.line_counts or {}
-    unknown = sorted(set(line_counts).difference(ids.values()))
+    unknown = ", ".join(sorted(set(line_counts).difference(ids)))
     if unknown:
-        raise ConfigError(
-            "weighting", f"line_counts for tasks not discovered: {', '.join(unknown)}"
-        )
-    counts = {ids[pair]: int(line_counts.get(ids[pair], 1)) for pair in pairs}
+        raise ConfigError("weighting", f"line_counts for tasks not discovered: {unknown}")
+    counts = {tid: int(line_counts.get(tid, 1)) for tid in ids}
     weights = compute_weights(counts, meta.temperature)
     curriculum = assign_curriculum(counts, meta.curriculum_stages)
 
     tasks: dict[str, TaskSpec] = {}
-    for src, tgt in pairs:
-        tid = ids[(src, tgt)]
+    for tid, (src, tgt, src_path, tgt_path) in zip(ids, found):
         enc, dec, enc_layers, dec_layers = build_module_sequence(meta.arch, src, tgt, groups)
         adapters = assign_adapters(src, tgt, meta.adapters, groups)
         tasks[tid] = TaskSpec(
             id=tid,
             src_lang=src,
             tgt_lang=tgt,
-            src_path=src_tpl.render(src, tgt),
-            tgt_path=tgt_tpl.render(src, tgt),
+            src_path=src_path,
+            tgt_path=tgt_path,
             enc_modules=enc,
             dec_modules=dec,
             enc_layers=enc_layers,
@@ -447,16 +453,12 @@ def _yaml_string(constant: str):
 
 def _load_plan(text: str | bytes):
     """The document of a plan file.  JSON text, as `emit` writes it, is
-    read by the stdlib's C reader, with the meaning YAML gives it; any
-    other text by `YAML_LOADER`, so that a hand-written YAML plan is read
-    and a faulty one is reported by the YAML reader."""
+    read by the stdlib's C reader, with the meaning YAML gives it; other
+    text, or JSON too deep for it, by `YAML_LOADER`, so that a hand-written
+    YAML plan is read and a faulty one is reported by the YAML reader."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_yaml_string)
-    except RecursionError as exc:
-        # not retried as YAML: libyaml's reader recurses in C, and overflows
-        # the stack on text nested that deep
-        raise ConfigError("parse", f"invalid JSON: {exc}") from None
-    except ValueError:
+    except (ValueError, RecursionError):
         return _load_yaml(text, "parse")
 
 

@@ -16,7 +16,6 @@ from typing import NamedTuple, Optional
 _LANG_RE = re.compile(r"[a-z0-9_]+")
 _DEVICE_RE = re.compile(r"(-?[0-9]+):(-?[0-9]+)")
 _SURROGATE = re.compile("[\ud800-\udfff]")
-_TASK_ID = "train_{}-{}".format
 # Task ids and adapter names are the keys of a plan.  Both are kept to
 # printable ASCII of 1-122 characters (a task id train_{src}-{tgt} of two
 # 57-character codes has 121): the keys that plans written as YAML by
@@ -91,13 +90,10 @@ def check_text(text: str, what: str) -> None:
 
 
 def task_id(src: str, tgt: str) -> str:
-    """Deterministic task identifier for a translation direction.
-
-    Denoising autoencoder tasks are the self-pair case (src == tgt).
-    """
-    check_language(src)
-    check_language(tgt)
-    return _TASK_ID(src, tgt)
+    """Task identifier for a translation direction; denoising autoencoder
+    tasks are the self-pairs.  `check_language` checks the codes where they
+    enter (`MetaConfig`, `validate_task`, `LanguageDistanceMatrix`)."""
+    return f"train_{src}-{tgt}"
 
 
 class ModuleKey(NamedTuple):
@@ -250,7 +246,7 @@ def _task_violations(task: TaskSpec, valid: set) -> list[str]:
     except ValueError as exc:
         found.append(str(exc))
     else:
-        expected = _TASK_ID(task.src_lang, task.tgt_lang)
+        expected = task_id(task.src_lang, task.tgt_lang)
         if task.id != expected:
             found.append(f"id does not match languages ({expected})")
     if not task.enc_modules or not task.dec_modules:

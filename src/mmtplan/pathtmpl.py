@@ -85,8 +85,9 @@ def discover_tasks(
     languages: Iterable[str],
     file_exists: Callable[[str], bool],
     include_self_pairs: bool = False,
-) -> list[tuple[str, str]]:
-    """Find which directed language pairs have data in the corpus.
+) -> list[tuple[str, str, str, str]]:
+    """Find which directed language pairs have data in the corpus: sorted
+    `(src, tgt, src_path, tgt_path)`, with the paths rendered to probe them.
 
     A pair survives iff the probe accepts both its rendered source and
     target paths (`configgen.default_probe` accepts regular files,
@@ -100,8 +101,8 @@ def discover_tasks(
         for tgt in langs:
             if src == tgt and not include_self_pairs:
                 continue
-            if file_exists(src_template.render(src, tgt)) and file_exists(
-                tgt_template.render(src, tgt)
+            if file_exists(src_path := src_template.render(src, tgt)) and file_exists(
+                tgt_path := tgt_template.render(src, tgt)
             ):
-                found.append((src, tgt))
+                found.append((src, tgt, src_path, tgt_path))
     return found

@@ -67,6 +67,29 @@ search_budget: 100
 """
 
 
+# YAML nested 50,000 levels deep, as the value of a key: in flow style and
+# in compact block style
+DEEP = {
+    "flow": "[" * 50_000 + "]" * 50_000,
+    "block": "\n  " + "- " * 50_000 + "x",
+}
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(mmtplan.__file__)))
+
+
+def run_process(args, libyaml=True):
+    """`mmtplan` in a process of its own, so that a crash shows as its exit
+    status.  Without `libyaml`, PyYAML's C extension cannot be imported,
+    and PyYAML runs as a build without libyaml does."""
+    code = "import sys\n"
+    if not libyaml:
+        code += "sys.modules['yaml._yaml'] = None\nimport yaml\nassert not yaml.__with_libyaml__\n"
+    code += "from mmtplan.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+    )
+
+
 def make_workspace(root):
     (root / "meta.yaml").write_text(META_YAML)
     (root / "meta_all_keys.yaml").write_text(META_YAML_ALL_KEYS)
@@ -138,8 +161,7 @@ class TestGenerate:
             src = pair.split("-")[0]
             (workspace / "corpus" / template.format(lang_pair=pair, src_lang=src)).touch()
         out = workspace / "full.yaml"
-        src = os.path.dirname(os.path.dirname(os.path.abspath(mmtplan.__file__)))
-        env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="ascii")
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="ascii")
         cli = [sys.executable, "-m", "mmtplan.cli", "generate", str(meta)]
         to_file = subprocess.run([*cli, "-o", str(out)], env=env, capture_output=True)
         to_stdout = subprocess.run(cli, env=env, capture_output=True)
@@ -205,6 +227,18 @@ class TestGenerate:
         assert main(["generate", str(workspace / "meta.yaml"), "-o", str(pure)]) == 0
         assert pure.read_bytes() == out.read_bytes()
         assert main(["validate", str(pure)]) == 0
+
+    def test_without_libyaml(self, workspace):
+        # the loader's bases are chosen per platform: PyYAML's pure-Python
+        # SafeLoader already has the composer.  Deep input on this platform
+        # is `TestBadInput.test_deep_yaml_exits_1`'s.
+        out = generated(workspace)
+        pure = workspace / "pure.yaml"
+        proc = run_process(["generate", str(workspace / "meta.yaml"), "-o", str(pure)], False)
+        assert proc.returncode == 0, proc.stderr
+        assert pure.read_bytes() == out.read_bytes()
+        proc = run_process(["validate", str(pure)], False)
+        assert (proc.returncode, proc.stdout) == (0, f"{pure}: OK (6 tasks)\n"), proc.stderr
 
     def test_all_keys_meta(self, workspace):
         out = workspace / "full.yaml"
@@ -692,17 +726,36 @@ class TestBadInput:
 
     @pytest.mark.parametrize("command", ["validate", "allocate", "simulate"])
     def test_deep_nesting_exits_1(self, tmp_path, command):
-        # in a process of its own: a reader that recursed in C on this text
-        # would overflow the stack and kill the process
+        # JSON text too deep for `json.loads` goes to the YAML reader too
         path = tmp_path / "deep.yaml"
         path.write_text("[" * 100_000 + "]" * 100_000)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(mmtplan.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mmtplan.cli", command, str(path)],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-        )
+        proc = run_process([command, str(path)])
         assert proc.returncode == 1, proc.stderr
-        assert proc.stderr.startswith("error: [parse] invalid JSON: maximum recursion depth")
+        assert proc.stderr.startswith("error: [parse] invalid YAML: maximum recursion depth")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "no-libyaml"])
+    @pytest.mark.parametrize("style", sorted(DEEP))
+    @pytest.mark.parametrize(
+        "carrier", ["meta", "line_counts", "validate", "allocate", "simulate"]
+    )
+    def test_deep_yaml_exits_1(self, workspace, carrier, style, libyaml):
+        meta = workspace / "meta.yaml"
+        if carrier == "meta":
+            meta.write_text(META_YAML + "curriculum: " + DEEP[style] + "\n")
+            args, stage = ["generate", str(meta)], "meta"
+        elif carrier == "line_counts":
+            meta.write_text(META_YAML + "line_counts: counts.yaml\n")
+            (workspace / "counts.yaml").write_text("train_bg-de: " + DEEP[style] + "\n")
+            args, stage = ["generate", str(meta)], "meta"
+        else:
+            plan = workspace / "deep.yaml"
+            plan.write_text("enc_layers: " + DEEP[style] + "\n")
+            args, stage = [carrier, str(plan)], "parse"
+        proc = run_process(args, libyaml)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"error: [{stage}] invalid YAML")
+        assert ": maximum recursion depth exceeded" in proc.stderr
         assert proc.stderr.count("\n") == 1
 
     def test_task_list_instead_of_mapping(self, tmp_path, capsys):
@@ -732,8 +785,8 @@ class TestBadInput:
             ),
             pytest.param(
                 META_YAML.replace("pattern: FULL", "pattern: GROUP"),
-                "clustering",
-                "GROUP sharing patterns require a distance matrix",
+                "meta",
+                "distance_matrix: required where a sharing pattern or adapter uses groups",
                 id="clustering-no-matrix",
             ),
             pytest.param(
@@ -807,10 +860,9 @@ def test_cli_import_does_not_import_numpy():
         "import mmtplan.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mmtplan.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True,
     )
     assert out.stdout == "[]\n"
 

@@ -38,17 +38,18 @@ class TestTaskId:
     def test_direct_formatting(self):
         assert task_id("sw", "ca") == "train_sw-ca"
 
+    # `task_id` only formats; `check_language` owns the rule for codes
     @pytest.mark.parametrize("bad", ["", "EN", "fr-FR", "zh hans", "a.b", "en\n"])
     def test_rejects_bad_codes(self, bad):
         with pytest.raises(ValueError):
-            task_id(bad, "en")
+            check_language(bad)
 
     def test_code_length_cap(self):
         # two codes of the longest length give a task id of 121 characters
-        longest = "a" * MAX_LANG_LEN
+        longest = check_language("a" * MAX_LANG_LEN)
         assert len(task_id(longest, longest)) == 121
         with pytest.raises(ValueError, match="longer than 57 characters"):
-            task_id("a" * (MAX_LANG_LEN + 1), "en")
+            check_language("a" * (MAX_LANG_LEN + 1))
 
 
 def test_language_comparison_is_byte_order():

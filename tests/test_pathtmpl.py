@@ -80,14 +80,29 @@ class TestDiscoverTasks:
         tgt = PathTemplate("{lang_pair}.{tgt_lang}", CorpusMode.DIRECTIONAL)
         present = {"en-de.en", "en-de.de"}
         found = discover_tasks(src, tgt, ["en", "de"], present.__contains__)
-        assert found == [("en", "de")]
+        assert found == [("en", "de", "en-de.en", "en-de.de")]
 
     def test_symmetric_pair_survives_both_directions(self):
         src = PathTemplate("{sorted_pair}/train.{side_a}.gz", CorpusMode.SYMMETRIC)
         tgt = PathTemplate("{sorted_pair}/train.{side_b}.gz", CorpusMode.SYMMETRIC)
         present = {"ben-eng/train.src.gz", "ben-eng/train.trg.gz"}
         found = discover_tasks(src, tgt, ["eng", "ben"], present.__contains__)
-        assert found == [("ben", "eng"), ("eng", "ben")]
+        assert found == [
+            ("ben", "eng", "ben-eng/train.src.gz", "ben-eng/train.trg.gz"),
+            ("eng", "ben", "ben-eng/train.trg.gz", "ben-eng/train.src.gz"),
+        ]
+
+    def test_symmetric_paths_are_the_rendered_ones(self):
+        # each direction gets the paths it renders, so generate need not
+        # render them again
+        src = PathTemplate("{sorted_pair}/{lang_a}.{side_a}", CorpusMode.SYMMETRIC)
+        tgt = PathTemplate("{sorted_pair}/{lang_b}.{side_b}", CorpusMode.SYMMETRIC)
+        found = discover_tasks(src, tgt, ["fi", "de", "en"], lambda p: True)
+        assert [pair[:2] for pair in found] == [
+            ("de", "en"), ("de", "fi"), ("en", "de"), ("en", "fi"), ("fi", "de"), ("fi", "en")
+        ]
+        for s, t, src_path, tgt_path in found:
+            assert (src_path, tgt_path) == (src.render(s, t), tgt.render(s, t))
 
     def test_no_files(self):
         src = PathTemplate("{lang_pair}.{src_lang}", CorpusMode.DIRECTIONAL)
@@ -102,7 +117,7 @@ class TestDiscoverTasks:
         found = discover_tasks(
             src, tgt, ["en"], lambda p: True, include_self_pairs=True
         )
-        assert found == [("en", "en")]
+        assert found == [("en", "en", "en-en.en", "en-en.en")]
 
     def test_output_sorted(self):
         src = PathTemplate("{lang_pair}.{src_lang}", CorpusMode.DIRECTIONAL)
