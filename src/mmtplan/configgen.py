@@ -12,7 +12,7 @@ import json
 import math
 import os
 import re
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import yaml
@@ -34,6 +34,8 @@ from .core import (
 )
 from .pathtmpl import CorpusMode, PathTemplate, discover_tasks
 from .sharing import (
+    GROUP_PATTERNS,
+    TGT_LANGUAGE_PATTERNS,
     ArchSpec,
     SharingPattern,
     build_module_sequence,
@@ -87,13 +89,6 @@ _YAML_UNSAFE = re.compile("[\x7f-\x9f\u2028\u2029\ud800-\udfff\ufffe\uffff]")
 # The topology's latencies and bandwidths are a plan's only floats, each a
 # top-level key on a line of its own.
 _BARE_MANTISSA = re.compile(r'(\n "(?:alpha|beta)_in(?:ter|tra)": \d+)(?=e)')
-
-
-_GROUP_PATTERNS = {
-    SharingPattern.GROUP,
-    SharingPattern.SRC_GROUP,
-    SharingPattern.TGT_GROUP,
-}
 
 
 @dataclass(frozen=True)
@@ -174,7 +169,7 @@ class MetaConfig:
         languages are clustered from the distance matrix."""
         patterns = {p for p, _ in self.arch.enc_stacks + self.arch.dec_stacks}
         patterns |= {spec.pattern for spec in self.adapters}
-        return bool(patterns & _GROUP_PATTERNS)
+        return bool(patterns & GROUP_PATTERNS)
 
 
 @dataclass(frozen=True)
@@ -259,8 +254,7 @@ def assign_transforms(
         transforms = ["subword", noise_transform]
     else:
         transforms = ["subword", "filter"]
-    dec_patterns = {pattern for pattern, _ in arch.dec_stacks}
-    if not dec_patterns & {SharingPattern.LANGUAGE, SharingPattern.TGT_LANGUAGE}:
+    if TGT_LANGUAGE_PATTERNS.isdisjoint(pattern for pattern, _ in arch.dec_stacks):
         transforms.append(f"prefix:{tgt}")
     return tuple(transforms)
 
@@ -362,25 +356,17 @@ def generate(
 # serialization
 
 _NUMBER = (int, float)
-# Keys that map straight onto a dataclass field, with the type YAML must
-# give; an absent key takes the field's default, and is an error where
-# the field has none.
-_TOPOLOGY_KINDS = {
-    "n_nodes": int,
-    "n_gpus_per_node": int,
-    "n_slots_per_gpu": int,
-    "alpha_intra": _NUMBER,
-    "alpha_inter": _NUMBER,
-    "beta_intra": _NUMBER,
-    "beta_inter": _NUMBER,
-}
-_META_SCALAR_KINDS = {
-    "n_groups": int,
-    "temperature": _NUMBER,
-    "autoencoder": bool,
-    "noise_transform": str,
-    "seed": int,
-    "search_budget": int,
+# A document's keys, in the order they are read and their faults found,
+# each with (kind, entry, default, convert) as `_read` takes them.  A
+# default is taken from its dataclass where a field holds the value read.
+_TOPOLOGY = {
+    "n_nodes": (int, None, MISSING, None),
+    "n_gpus_per_node": (int, None, MISSING, None),
+    "n_slots_per_gpu": (int, None, MISSING, None),
+    "alpha_intra": (_NUMBER, None, ClusterTopology.alpha_intra, None),
+    "alpha_inter": (_NUMBER, None, ClusterTopology.alpha_inter, None),
+    "beta_intra": (_NUMBER, None, ClusterTopology.beta_intra, None),
+    "beta_inter": (_NUMBER, None, ClusterTopology.beta_inter, None),
 }
 
 
@@ -401,7 +387,7 @@ def emit(cfg: FullConfig) -> str:
     top = {
         "enc_layers": list(cfg.enc_layers),
         "dec_layers": list(cfg.dec_layers),
-        **{key: getattr(cfg.topology, key) for key in _TOPOLOGY_KINDS},
+        **{key: getattr(cfg.topology, key) for key in _TOPOLOGY},
     }
     lines = []
     for tid in sorted(cfg.tasks):
@@ -463,89 +449,99 @@ def _load_plan(text: str | bytes):
 
 
 def _typed(value, kind, what: str):
-    """`value` if it is an instance of `kind`, else a `ValueError`.  A
-    bool is accepted only where `kind` is bool, never where YAML should
-    give a number; a scalar where a string belongs (YAML reads an unquoted
-    no as False and 2:0 as 120) gets a hint to quote it."""
-    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+    """`value` if its type is exactly `kind`, or one of a tuple of kinds,
+    else a `ValueError`; JSON and YAML readers give exact builtins, and a
+    bool is no int.  A scalar where a string belongs (YAML reads an
+    unquoted no as False and 2:0 as 120) gets a hint to quote it."""
+    kinds = kind if type(kind) is tuple else (kind,)
+    if type(value) in kinds:
         return value
     if kind is str and not isinstance(value, (dict, list, type(None))):
         raise ValueError(f"{what} {value!r} is not a string; quote it")
-    kinds = kind if isinstance(kind, tuple) else (kind,)
     expected = " or ".join(k.__name__ for k in kinds)
     raise ValueError(f"{what}: expected {expected}, got {value!r}")
 
 
-def _get(doc: dict, key: str, kind, where: str = "", default=MISSING, convert=None):
-    """doc[key] checked by `_typed`, then passed through `convert` if one
-    is given.  An absent key gives `default`, and is an error where there
-    is none (MISSING, as dataclasses mark a field without a default); an
-    explicit null is still checked.  Every error, `convert`'s too, names
-    the field as `where` + `key`."""
-    if key not in doc:
-        if default is MISSING:
-            raise ValueError(f"{where}{key}: required key is missing")
-        return default
-    value = _typed(doc[key], kind, f"{where}{key}")
-    if convert is None:
-        return value
-    try:
-        return convert(value)
-    except ValueError as exc:
-        raise ValueError(f"{where}{key}: {exc}") from None
+def _read(doc: dict, table: Mapping[str, tuple], where: str = "") -> list:
+    """The values of `doc`'s keys, in the order of `table`, which maps each
+    key that `doc` may hold to (kind, entry, default, convert).  A value is
+    a `kind` (`_typed`); unless `entry` is None, so is each item of a list,
+    or each value of a mapping, whose keys are strings, an `entry`; then
+    `convert`, unless None, gives the value returned.  An absent key gives
+    `default` as it is (no row has a default of its kind and a `convert`),
+    and is an error where that is MISSING, as dataclasses mark a field
+    without a default.  An explicit null is checked.  Every error names
+    the field as `where` + key, `convert`'s as `<key>: <message>`."""
+    if not doc.keys() <= table.keys():
+        unknown = ", ".join(sorted(map(str, doc.keys() - table.keys())))
+        raise ValueError(f"{where}unknown keys: {unknown}")
+    values = []
+    for key, (kind, entry, default, convert) in table.items():
+        # an absent key whose default has its kind takes the fast path
+        value = doc.get(key, default)
+        if type(value) is not kind:
+            if key not in doc:
+                if default is MISSING:
+                    raise ValueError(f"{where}{key}: required key is missing")
+                values.append(default)
+                continue
+            _typed(value, kind, where + key)
+        if entry is not None:
+            if kind is list:
+                for item in value:
+                    if type(item) is not entry:
+                        _typed(item, entry, f"{where}{key} entry")
+            else:
+                for name in value:
+                    if type(name) is not str:
+                        _typed(name, str, where + key)
+                for item in value.values():
+                    if type(item) is not entry:
+                        _typed(item, entry, where + key)
+        if convert is not None:
+            try:
+                value = convert(value)
+            except ValueError as exc:
+                raise ValueError(f"{where}{key}: {exc}") from None
+        values.append(value)
+    return values
 
 
-def _get_list(doc: dict, key: str, kind, where: str = "", default=MISSING) -> list:
-    """`_get` for a list whose every item is a `kind`."""
-    items = _get(doc, key, list, where, default)
-    return [_typed(v, kind, f"{where}{key} entry") for v in items]
+def _src_tgt(text: str) -> tuple[str, str]:
+    src, dash, tgt = text.partition("-")
+    if not dash:
+        raise ValueError(f"{text!r} is not <src>-<tgt>")
+    return src, tgt
 
 
-def _fields(doc: dict, cls, kinds: Mapping[str, type | tuple], **defaults) -> dict:
-    """Keyword arguments of dataclass `cls` for the keys of `kinds`, each
-    read by `_get`.  An absent key takes its value from `defaults`, else
-    the field's default; a field with neither is required."""
-    return {
-        f.name: _get(doc, f.name, kinds[f.name], default=defaults.get(f.name, f.default))
-        for f in fields(cls)
-        if f.name in kinds
-    }
-
-
-def _check_keys(doc: dict, known: frozenset, where: str = "") -> None:
-    unknown = doc.keys() - known
-    if unknown:
-        raise ValueError(f"{where}unknown keys: {', '.join(sorted(map(str, unknown)))}")
-
-
-_PLAN_KEYS = frozenset({"enc_layers", "dec_layers", "tasks", *_TOPOLOGY_KINDS})
-# A task entry's fields after src_tgt as (key, kind, default), in the order
-# `parse` checks them.  A list's entries are strings, and so are an
-# adapter mapping's names and values.
-_TASK_FIELDS = (
-    ("enc_sharing_groups", list, MISSING),
-    ("dec_sharing_groups", list, MISSING),
-    ("adapters", dict, {}),
-    ("path_src", str, MISSING),
-    ("path_tgt", str, MISSING),
-    ("weight", int, 1),
-    ("introduce_at_training_step", int, 0),
-    ("transforms", list, []),
-    ("node_gpu", str, MISSING),
-)
-_TASK_KEYS = frozenset({"src_tgt", *(key for key, _, _ in _TASK_FIELDS)})
+_PLAN = {
+    **_TOPOLOGY,
+    "enc_layers": (list, int, MISSING, tuple),
+    "dec_layers": (list, int, MISSING, tuple),
+    # each task id and entry is checked where the entry is read
+    "tasks": (dict, None, MISSING, None),
+}
+_TASK = {
+    "src_tgt": (str, None, MISSING, _src_tgt),
+    "enc_sharing_groups": (list, str, MISSING, None),
+    "dec_sharing_groups": (list, str, MISSING, None),
+    "adapters": (dict, str, TaskSpec.adapters, lambda names: tuple(sorted(names.items()))),
+    "path_src": (str, None, MISSING, None),
+    "path_tgt": (str, None, MISSING, None),
+    "weight": (int, None, TaskSpec.weight, None),
+    "introduce_at_training_step": (int, None, TaskSpec.introduce_at_training_step, None),
+    "transforms": (list, str, TaskSpec.transforms, tuple),
+    "node_gpu": (str, None, MISSING, None),
+}
 
 
 def parse(text: str | bytes) -> FullConfig:
     """Inverse of emit: parse(emit(cfg)) == cfg.  A wrong type or an unknown
     key is a `[parse]` error, so later stages see only well-typed values;
     the `FullConfig` built checks the plan's rules (`[validation]`).  Bytes
-    are decoded as UTF-8, or UTF-16 by BOM.
-
-    A value whose type is exactly the one its field takes is read as it
-    is; any other goes to `_get` or `_typed`, which accept it or word its
-    error.  Tasks share one `ModuleKey` tuple per side and group sequence,
-    and one `DeviceId` per `node_gpu`, as equal values."""
+    are decoded as UTF-8, or UTF-16 by BOM.  The plan and each task are
+    read by `_read`.  Tasks share one `ModuleKey` tuple per side and group
+    sequence, and one `DeviceId` per `node_gpu`, as equal values."""
     doc = _load_plan(text)
     if not isinstance(doc, dict):
         raise ConfigError("parse", "top level must be a mapping")
@@ -560,43 +556,23 @@ def parse(text: str | bytes) -> FullConfig:
         return keys
 
     try:
-        _check_keys(doc, _PLAN_KEYS)
-        topo = ClusterTopology(**_fields(doc, ClusterTopology, _TOPOLOGY_KINDS))
-        enc_layers = tuple(_get_list(doc, "enc_layers", int))
-        dec_layers = tuple(_get_list(doc, "dec_layers", int))
+        *topology, enc_layers, dec_layers, entries = _read(doc, _PLAN)
+        topo = ClusterTopology(*topology)
         tasks: dict[str, TaskSpec] = {}
-        for tid, entry in _get(doc, "tasks", dict).items():
+        for tid, entry in entries.items():
             if type(tid) is not str:
                 _typed(tid, str, "task id")
             where = f"task {tid}: "
             if type(entry) is not dict:
                 _typed(entry, dict, where + "entry")
-            if not entry.keys() <= _TASK_KEYS:
-                _check_keys(entry, _TASK_KEYS, where)
-            src, dash, tgt = _get(entry, "src_tgt", str, where).partition("-")
-            if not dash:
-                raise ValueError(f"{where}src_tgt {src!r} is not <src>-<tgt>")
-            values = []
-            for key, kind, default in _TASK_FIELDS:
-                value = entry.get(key, default)
-                if type(value) is not kind:
-                    value = _get(entry, key, kind, where, default)
-                if kind is list:
-                    for item in value:
-                        if type(item) is not str:
-                            _typed(item, str, f"{where}{key} entry")
-                elif kind is dict:
-                    for name in [*value, *value.values()]:
-                        if type(name) is not str:
-                            _typed(name, str, where + key)
-                values.append(value)
-            (enc_groups, dec_groups, adapters, src_path, tgt_path,
-             weight, step, transforms, node_gpu) = values
+            ((src, tgt), enc_groups, dec_groups, adapters, src_path, tgt_path,
+             weight, step, transforms, node_gpu) = _read(entry, _TASK, where)
             device = devices.get(node_gpu)
             if device is None:
-                device = devices[node_gpu] = _get(
-                    entry, "node_gpu", str, where, convert=DeviceId.parse
-                )
+                try:
+                    device = devices[node_gpu] = DeviceId.parse(node_gpu)
+                except ValueError as exc:
+                    raise ValueError(f"{where}node_gpu: {exc}") from None
             tasks[tid] = TaskSpec(
                 id=tid,
                 src_lang=src,
@@ -609,8 +585,8 @@ def parse(text: str | bytes) -> FullConfig:
                 dec_layers=dec_layers,
                 weight=weight,
                 introduce_at_training_step=step,
-                transforms=tuple(transforms),
-                adapters=tuple(sorted(adapters.items())),
+                transforms=transforms,
+                adapters=adapters,
                 device=device,
             )
     except ValueError as exc:
@@ -636,21 +612,40 @@ def write_full_config(cfg: FullConfig, path: str) -> None:
 # ---------------------------------------------------------------------------
 # meta-configuration file loading
 
-def _get_mappings(doc: dict, key: str, known: frozenset, default=MISSING) -> list[dict]:
-    """`_get_list` of mappings, each holding only keys in `known`."""
-    items = _get_list(doc, key, dict, default=default)
-    for item in items:
-        _check_keys(item, known, f"{key}: ")
-    return items
+def _each(table: Mapping[str, tuple]):
+    """A `convert` for a list of mappings: each mapping's values, read by `_read`."""
+    return lambda items: tuple(tuple(_read(item, table)) for item in items)
 
 
-def _parse_stacks(doc: dict, key: str) -> tuple[tuple[SharingPattern, int], ...]:
-    """One side's (pattern, layers) stacks, for `ArchSpec` to check."""
-    where = f"{key}: "
-    return tuple(
-        (_get(s, "pattern", str, where, convert=SharingPattern), _get(s, "layers", int, where))
-        for s in _get_mappings(doc, key, _STACK_KEYS)
-    )
+_STACK = {"pattern": (str, None, MISSING, SharingPattern), "layers": (int, None, MISSING, None)}
+_CURRICULUM = {"start_step": (int, None, MISSING, None), "below_lines": (int, None, MISSING, None)}
+_ADAPTER = {
+    "name": (str, None, MISSING, None),
+    "side": (str, None, MISSING, Side),
+    "positions": (list, int, (), tuple),
+    "pattern": (str, None, MISSING, SharingPattern),
+}
+_META = {
+    "line_counts": (dict, int, MetaConfig.line_counts, None),
+    "langs": (list, str, MISSING, tuple),
+    "src_path_template": (str, None, MISSING, None),
+    "tgt_path_template": (str, None, MISSING, None),
+    "corpus_mode": (str, None, CorpusMode.DIRECTIONAL, CorpusMode),
+    "enc_sharing": (list, dict, MISSING, _each(_STACK)),
+    "dec_sharing": (list, dict, MISSING, _each(_STACK)),
+    # a meta file may leave out n_nodes: one node
+    **_TOPOLOGY, "n_nodes": (int, None, 1, None),
+    "n_groups": (int, None, MetaConfig.n_groups, None),
+    "temperature": (_NUMBER, None, MetaConfig.temperature, None),
+    "autoencoder": (bool, None, MetaConfig.autoencoder, None),
+    "noise_transform": (str, None, MetaConfig.noise_transform, None),
+    "seed": (int, None, MetaConfig.seed, None),
+    "search_budget": (int, None, MetaConfig.search_budget, None),
+    "distance_matrix": (str, None, MetaConfig.distance_matrix_path, None),
+    "curriculum": (list, dict, MetaConfig.curriculum_stages, _each(_CURRICULUM)),
+    "adapters": (list, dict, MetaConfig.adapters, _each(_ADAPTER)),
+    "corpus_root": (str, None, MetaConfig.corpus_root, None),
+}
 
 
 def _load_meta_yaml(path: str):
@@ -658,26 +653,14 @@ def _load_meta_yaml(path: str):
         return _load_yaml(f, "meta", f" in {path}")
 
 
-_META_KEYS = frozenset(
-    {
-        "langs", "src_path_template", "tgt_path_template", "corpus_mode",
-        "corpus_root", "enc_sharing", "dec_sharing", "distance_matrix",
-        "curriculum", "adapters", "line_counts",
-        *_TOPOLOGY_KINDS, *_META_SCALAR_KINDS,
-    }
-)
-_STACK_KEYS = frozenset({"pattern", "layers"})
-_CURRICULUM_KEYS = frozenset({"start_step", "below_lines"})
-_ADAPTER_KEYS = frozenset({"name", "side", "positions", "pattern"})
-
-
 def load_meta_config(path: str) -> MetaConfig:
     """Read a meta-configuration YAML file.
 
-    Every field is checked for its type, and an unknown key is an error;
-    the dataclasses that hold the values check their other rules.  Relative
-    corpus roots, distance matrices and line-count files are resolved
-    against the meta file's directory.
+    Every field is read by `_read`, which checks its type, and an unknown
+    key is an error; once every type is read, the dataclasses that hold
+    the values check their other rules.  Relative corpus roots, distance
+    matrices and line-count files are resolved against the meta file's
+    directory.
     """
     base = os.path.dirname(os.path.abspath(path))
     doc = _load_meta_yaml(path)
@@ -696,46 +679,29 @@ def load_meta_config(path: str) -> MetaConfig:
             return None
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    line_counts = doc.get("line_counts")
-    if isinstance(line_counts, str):
-        line_counts = _load_meta_yaml(resolve(line_counts))
+    # a line-count file is read as the mapping it holds would be inline
+    if isinstance(doc.get("line_counts"), str):
+        doc["line_counts"] = _load_meta_yaml(resolve(doc["line_counts"]))
     try:
-        _check_keys(doc, _META_KEYS)
-        if line_counts is not None:
-            line_counts = {
-                _typed(k, str, "line_counts"): _typed(v, int, "line_counts")
-                for k, v in _typed(line_counts, dict, "line_counts").items()
-            }
+        values = dict(zip(_META, _read(doc, _META)))
         return MetaConfig(
-            languages=tuple(_get_list(doc, "langs", str)),
-            src_path_template=_get(doc, "src_path_template", str),
-            tgt_path_template=_get(doc, "tgt_path_template", str),
-            corpus_mode=_get(
-                doc, "corpus_mode", str, default=CorpusMode.DIRECTIONAL, convert=CorpusMode
-            ),
-            arch=ArchSpec(_parse_stacks(doc, "enc_sharing"), _parse_stacks(doc, "dec_sharing")),
-            # a meta file may leave out n_nodes: one node
-            topology=ClusterTopology(**_fields(doc, ClusterTopology, _TOPOLOGY_KINDS, n_nodes=1)),
-            **_fields(doc, MetaConfig, _META_SCALAR_KINDS),
-            distance_matrix_path=resolve(_get(doc, "distance_matrix", str, default=None)),
-            curriculum_stages=tuple(
-                CurriculumStage(
-                    _get(c, "start_step", int, "curriculum: "),
-                    _get(c, "below_lines", int, "curriculum: "),
-                )
-                for c in _get_mappings(doc, "curriculum", _CURRICULUM_KEYS, default=[])
-            ),
-            adapters=tuple(
-                AdapterSpec(
-                    name=_get(a, "name", str, "adapters: "),
-                    side=_get(a, "side", str, "adapters: ", convert=Side),
-                    positions=tuple(_get_list(a, "positions", int, "adapters: ", [])),
-                    pattern=_get(a, "pattern", str, "adapters: ", convert=SharingPattern),
-                )
-                for a in _get_mappings(doc, "adapters", _ADAPTER_KEYS, default=[])
-            ),
-            corpus_root=resolve(_get(doc, "corpus_root", str, default=".")),
-            line_counts=line_counts,
+            languages=values["langs"],
+            src_path_template=values["src_path_template"],
+            tgt_path_template=values["tgt_path_template"],
+            corpus_mode=values["corpus_mode"],
+            arch=ArchSpec(values["enc_sharing"], values["dec_sharing"]),
+            topology=ClusterTopology(*[values[key] for key in _TOPOLOGY]),
+            n_groups=values["n_groups"],
+            distance_matrix_path=resolve(values["distance_matrix"]),
+            temperature=values["temperature"],
+            autoencoder=values["autoencoder"],
+            noise_transform=values["noise_transform"],
+            curriculum_stages=tuple(CurriculumStage(*stage) for stage in values["curriculum"]),
+            adapters=tuple(AdapterSpec(*spec) for spec in values["adapters"]),
+            corpus_root=resolve(values["corpus_root"]),
+            line_counts=values["line_counts"],
+            seed=values["seed"],
+            search_budget=values["search_budget"],
         )
     except ValueError as exc:
         raise ConfigError("meta", str(exc)) from None

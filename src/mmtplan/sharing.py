@@ -52,6 +52,12 @@ class GroupMapError(ConfigError):
         super().__init__("sharing", message)
 
 
+# The patterns resolved through the language clustering, and the decoder
+# patterns that give each target language a module of its own.
+GROUP_PATTERNS = frozenset({SharingPattern.GROUP, SharingPattern.SRC_GROUP, SharingPattern.TGT_GROUP})
+TGT_LANGUAGE_PATTERNS = frozenset({SharingPattern.LANGUAGE, SharingPattern.TGT_LANGUAGE})
+
+
 def resolve_group_name(
     pattern: SharingPattern,
     side: Side,
@@ -72,7 +78,7 @@ def resolve_group_name(
         return tgt
     if pattern is SharingPattern.LANGUAGE:
         return src if side is Side.ENCODER else tgt
-    # remaining patterns need the clustering result
+    # remaining patterns are the GROUP_PATTERNS
     if pattern is SharingPattern.GROUP:
         lang = src if side is Side.ENCODER else tgt
     elif pattern is SharingPattern.SRC_GROUP:

@@ -384,6 +384,7 @@ class TestBadInput:
             ("temperature: 0.5", "temperature must be >= 1"),
             ("n_gpus_per_node: 0", "n_gpus_per_node must be >= 1, got 0"),
             ("n_slots_per_gpu", "n_slots_per_gpu: required key is missing"),
+            ("line_counts: ~", "line_counts: expected dict, got None"),
         ],
     )
     def test_wrong_typed_meta_value(self, workspace, capsys, line, field):
@@ -409,7 +410,7 @@ class TestBadInput:
             ("tasks.train_bg-de.src_tgt", None,
              "task train_bg-de: src_tgt: required key is missing"),
             ("tasks.train_bg-de.src_tgt", "bgde",
-             "task train_bg-de: src_tgt 'bgde' is not <src>-<tgt>"),
+             "task train_bg-de: src_tgt: 'bgde' is not <src>-<tgt>"),
             ("n_gpus_per_node", 0, "n_gpus_per_node must be >= 1, got 0"),
             ("n_slots_per_gpu", None, "n_slots_per_gpu: required key is missing"),
             ("n_nodes", None, "n_nodes: required key is missing"),
@@ -876,12 +877,38 @@ FUZZ_VALUES = [
 ]
 
 
+LINE_EDITS = ["value", "delete", "duplicate", "insert"]
+BYTE_EDITS = ["flip", "truncate", "brackets", "surrogate"]
+
+
 @st.composite
 def mutated(draw, text):
-    lines = text.splitlines()
+    """`text` with one to three edits.  A line edit replaces a line's value,
+    or deletes, repeats or inserts a line; a byte edit flips one of the low
+    seven bits of a character, truncates the text, inserts a run of up to
+    600 `[` or `{` (deeper than the YAML composer reaches), or puts the six
+    ASCII characters `\\ud800` inside a double-quoted string."""
     for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(LINE_EDITS + BYTE_EDITS))
+        if op in BYTE_EDITS:
+            at = draw(st.integers(0, len(text)))
+            if op == "flip" and at < len(text):
+                flipped = chr(ord(text[at]) ^ 1 << draw(st.integers(0, 6)))
+                text = text[:at] + flipped + text[at + 1:]
+            elif op == "truncate":
+                text = text[:at]
+            elif op == "brackets":
+                run = draw(st.sampled_from("[{")) * draw(st.integers(1, 600))
+                text = text[:at] + run + text[at:]
+            elif op == "surrogate":
+                # every other quote opens a string
+                opening = [m.end() for m in re.finditer('"', text)][::2]
+                if opening:
+                    at = draw(st.sampled_from(opening))
+                    text = text[:at] + "\\ud800" + text[at:]
+            continue
+        lines = text.splitlines() or [""]
         i = draw(st.integers(0, len(lines) - 1))
-        op = draw(st.sampled_from(["value", "delete", "duplicate", "insert"]))
         value = draw(st.sampled_from(FUZZ_VALUES))
         if op == "value":
             head, sep, _ = lines[i].partition(":")
@@ -892,7 +919,8 @@ def mutated(draw, text):
             lines.insert(i, lines[i])
         else:
             lines.insert(i, value)
-    return "\n".join(lines) + "\n"
+        text = "\n".join(lines) + "\n"
+    return text
 
 
 def run_cli(argv):

@@ -3,7 +3,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from unittest import mock
 
 import pytest
@@ -29,7 +29,7 @@ from mmtplan.configgen import (
     load_meta_config,
     parse,
 )
-from mmtplan.core import ClusterTopology, DeviceId, ModuleKey, Side, validate_config
+from mmtplan.core import ClusterTopology, DeviceId, ModuleKey, Side, TaskSpec, validate_config
 from mmtplan.pathtmpl import CorpusMode
 from mmtplan.sharing import ArchSpec, SharingPattern
 
@@ -442,7 +442,7 @@ class TestParseErrors:
             for case, key, value, message in [
                 ("src_tgt-list", "src_tgt", [1], "src_tgt: expected str, got [1]"),
                 ("src_tgt-bool", "src_tgt", False, "src_tgt False is not a string; quote it"),
-                ("src_tgt-no-dash", "src_tgt", "bgen", "src_tgt 'bgen' is not <src>-<tgt>"),
+                ("src_tgt-no-dash", "src_tgt", "bgen", "src_tgt: 'bgen' is not <src>-<tgt>"),
                 ("path_src-mapping", "path_src", {}, "path_src: expected str, got {}"),
                 ("path_src-int", "path_src", 5, "path_src 5 is not a string; quote it"),
                 ("path_tgt-null", "path_tgt", None, "path_tgt: expected str, got None"),
@@ -483,7 +483,7 @@ class TestParseErrors:
         + [
             # with two faults, the first in the reader's order is reported
             pytest.param({"src_tgt": "bgen", "enc_sharing_groups": "bg"},
-                         "src_tgt 'bgen' is not <src>-<tgt>", id="dash-before-groups"),
+                         "src_tgt: 'bgen' is not <src>-<tgt>", id="dash-before-groups"),
             pytest.param({"enc_sharing_groups": [1], "dec_sharing_groups": "en"},
                          "enc_sharing_groups entry 1 is not a string; quote it",
                          id="entry-before-next-list"),
@@ -788,6 +788,27 @@ class TestPlanBoundary:
         assert parse(text) == cfg
         assert emit(parse(text)) == text
 
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=full_configs())
+    def test_writer_writes_the_readers_keys(self, cfg):
+        # `emit` and `parse` share one key list: a task leaves out only
+        # `adapters`, and only when it has none
+        doc = json.loads(emit(cfg))
+        assert doc.keys() == configgen._PLAN.keys()
+        for tid, entry in doc["tasks"].items():
+            unwritten = set() if cfg.tasks[tid].adapters else {"adapters"}
+            assert entry.keys() == configgen._TASK.keys() - unwritten
+
+    def test_absent_optional_fields_take_the_task_defaults(self):
+        optional = ("weight", "introduce_at_training_step", "transforms", "adapters")
+        doc = json.loads(emit(generate(pinned_meta(), all_files_exist)))
+        for entry in doc["tasks"].values():
+            for key in optional:
+                entry.pop(key, None)
+        defaults = {f.name: f.default for f in fields(TaskSpec) if f.name in optional}
+        for task in parse(json.dumps(doc)).tasks.values():
+            assert {key: getattr(task, key) for key in optional} == defaults
+
     @pytest.mark.parametrize(
         "build, message",
         [
@@ -902,6 +923,18 @@ class TestMetaRules:
         assert meta.n_groups == 2 and meta.curriculum_stages[0].start_step == 0
 
 
+# A meta file with only the keys that have no default
+REQUIRED_META = """\
+langs: [bg, en]
+src_path_template: x
+tgt_path_template: y
+enc_sharing: [{pattern: FULL, layers: 1}]
+dec_sharing: [{pattern: FULL, layers: 1}]
+n_gpus_per_node: 2
+n_slots_per_gpu: 3
+"""
+
+
 class TestLoadMetaConfig:
     def test_full_meta_file(self, tmp_path):
         (tmp_path / "meta.yaml").write_text(
@@ -933,6 +966,43 @@ seed: 11
         assert meta.curriculum_stages == (CurriculumStage(5000, 1000),)
         assert meta.adapters[0].name == "da"
         assert meta.seed == 11
+
+    def test_optional_keys_take_the_dataclass_defaults(self, tmp_path):
+        (tmp_path / "meta.yaml").write_text(REQUIRED_META)
+        meta = load_meta_config(str(tmp_path / "meta.yaml"))
+        for field in fields(MetaConfig):
+            if field.default is not MISSING and field.name != "corpus_root":
+                assert getattr(meta, field.name) == field.default, field.name
+        # the default corpus root is resolved, as a relative one is
+        assert meta.corpus_root == os.path.join(str(tmp_path), MetaConfig.corpus_root)
+        assert meta.corpus_mode is CorpusMode.DIRECTIONAL
+        assert meta.topology == ClusterTopology(1, 2, 3)
+
+    def test_line_count_file_reads_as_its_mapping_inline(self, tmp_path):
+        # the mapping a file holds is read as an inline one, and a null as
+        # an inline null is: an error, as for every key
+        (tmp_path / "counts.yaml").write_text("train_bg-en: 3\ntrain_en-bg: 1\n")
+        (tmp_path / "empty.yaml").write_text("")
+        path = tmp_path / "meta.yaml"
+        path.write_text(REQUIRED_META + "line_counts: counts.yaml\n")
+        assert load_meta_config(str(path)).line_counts == {"train_bg-en": 3, "train_en-bg": 1}
+        for value in ("~", "empty.yaml"):
+            path.write_text(REQUIRED_META + f"line_counts: {value}\n")
+            with pytest.raises(ConfigError) as info:
+                load_meta_config(str(path))
+            assert str(info.value) == "[meta] line_counts: expected dict, got None"
+
+    def test_every_type_is_read_before_the_rules(self, tmp_path):
+        # of a rule broken in a stack and a mistyped topology key, the type
+        # is reported: every value is read before the dataclasses check it
+        (tmp_path / "meta.yaml").write_text(
+            REQUIRED_META.replace("layers: 1}]\ndec", "layers: 0}]\ndec").replace(
+                "n_gpus_per_node: 2", "n_gpus_per_node: x"
+            )
+        )
+        with pytest.raises(ConfigError) as info:
+            load_meta_config(str(tmp_path / "meta.yaml"))
+        assert str(info.value) == "[meta] n_gpus_per_node: expected int, got 'x'"
 
     def test_malformed_meta(self, tmp_path):
         (tmp_path / "meta.yaml").write_text("langs: [bg]\n")
